@@ -10,9 +10,7 @@ use cobra_isa::insn::{CmpRel, Op};
 use cobra_isa::{decode, encode, Assembler, Insn, LfetchHint};
 use cobra_kernels::workload::Workload;
 use cobra_kernels::{Daxpy, DaxpyParams, PrefetchPolicy};
-use cobra_machine::{
-    AccessKind, CpuStats, Event, HostAccel, Hpm, Machine, MachineConfig, MemSystem, SamplingConfig,
-};
+use cobra_machine::{AccessKind, CpuStats, Hpm, Machine, MachineConfig, MemSystem};
 use cobra_omp::{OmpRuntime, Team};
 use cobra_osr::OsrMap;
 use cobra_rt::{
@@ -99,136 +97,6 @@ fn bench_memsys(c: &mut Criterion) {
     });
 }
 
-fn bench_memsys_fastpath(c: &mut Criterion) {
-    let load = AccessKind::Load {
-        fp: true,
-        bias: false,
-    };
-
-    // Private-hit cost: repeated loads to a line this CPU already holds in
-    // E/M — the case the MRU filter answers without touching the
-    // probe/effects/snoop machinery. The reference path is measured
-    // alongside; the fast path must clear 1.5x before anything is timed by
-    // Criterion, and both passes must agree on outcomes and counters.
-    let private_hit_pass = |fast: bool, n: u64| {
-        let cfg = MachineConfig::smp4().with_host_accel(HostAccel::fast().with_mem_fast_path(fast));
-        let mut ms = MemSystem::new(&cfg);
-        let mut stats: Vec<CpuStats> = (0..4).map(|_| CpuStats::new()).collect();
-        let mut hpm: Vec<Hpm> = (0..4).map(|_| Hpm::new(cfg.dear_min_latency)).collect();
-        ms.access(&mut stats, &mut hpm, 0, 0, 1, load, 0x1000);
-        let mut now = 1_000u64;
-        let mut digest = 0u64;
-        let t0 = std::time::Instant::now();
-        for _ in 0..n {
-            now += 1;
-            let out = ms.access(&mut stats, &mut hpm, 0, now, 1, load, 0x1000);
-            digest ^= out
-                .complete_at
-                .wrapping_mul(3)
-                .wrapping_add(out.stall_until);
-        }
-        (t0.elapsed(), digest, stats[0].clone())
-    };
-    const HITS: u64 = 1_000_000;
-    let (ref_elapsed, ref_digest, ref_stats) = (0..3)
-        .map(|_| private_hit_pass(false, HITS))
-        .min_by_key(|(d, _, _)| *d)
-        .unwrap();
-    let (fast_elapsed, fast_digest, fast_stats) = (0..3)
-        .map(|_| private_hit_pass(true, HITS))
-        .min_by_key(|(d, _, _)| *d)
-        .unwrap();
-    assert_eq!(
-        (ref_digest, ref_stats),
-        (fast_digest, fast_stats),
-        "fast path must answer private hits identically to the reference"
-    );
-    let ratio = ref_elapsed.as_secs_f64() / fast_elapsed.as_secs_f64();
-    assert!(
-        ratio >= 1.5,
-        "private-hit fast path must be >= 1.5x the reference, got {ratio:.2}x \
-         ({ref_elapsed:?} reference vs {fast_elapsed:?} fast)"
-    );
-    let mut g = c.benchmark_group("components/memsys/private_hit_load");
-    for (variant, fast) in [("reference", false), ("fast_path", true)] {
-        g.bench_function(BenchmarkId::from_parameter(variant), |b| {
-            let cfg =
-                MachineConfig::smp4().with_host_accel(HostAccel::fast().with_mem_fast_path(fast));
-            let mut ms = MemSystem::new(&cfg);
-            let mut stats: Vec<CpuStats> = (0..4).map(|_| CpuStats::new()).collect();
-            let mut hpm: Vec<Hpm> = (0..4).map(|_| Hpm::new(cfg.dear_min_latency)).collect();
-            ms.access(&mut stats, &mut hpm, 0, 0, 1, load, 0x1000);
-            let mut now = 1_000u64;
-            b.iter(|| {
-                now += 1;
-                ms.access(&mut stats, &mut hpm, 0, now, 1, load, 0x1000)
-            })
-        });
-    }
-    g.finish();
-
-    // Snoop-miss cost: a cold-line load stream where no other hierarchy can
-    // hold the line, so the presence vector lets the fast path skip the
-    // O(num_cpus) snoop loops that the reference walks on every miss.
-    let snoop_miss_pass = |fast: bool, n: u64| {
-        let cfg = MachineConfig::smp4().with_host_accel(HostAccel::fast().with_mem_fast_path(fast));
-        let mut ms = MemSystem::new(&cfg);
-        let mut stats: Vec<CpuStats> = (0..4).map(|_| CpuStats::new()).collect();
-        let mut hpm: Vec<Hpm> = (0..4).map(|_| Hpm::new(cfg.dear_min_latency)).collect();
-        let mut now = 0u64;
-        let mut digest = 0u64;
-        let t0 = std::time::Instant::now();
-        for i in 0..n {
-            now += 600;
-            let addr = 0x1000 + (i % 300_000) * 128;
-            let out = ms.access(&mut stats, &mut hpm, 0, now, 1, load, addr);
-            digest ^= out
-                .complete_at
-                .wrapping_mul(3)
-                .wrapping_add(out.stall_until);
-        }
-        (t0.elapsed(), digest, stats[0].clone())
-    };
-    const MISSES: u64 = 300_000;
-    let (miss_ref_elapsed, miss_ref_digest, miss_ref_stats) = (0..3)
-        .map(|_| snoop_miss_pass(false, MISSES))
-        .min_by_key(|(d, _, _)| *d)
-        .unwrap();
-    let (miss_fast_elapsed, miss_fast_digest, miss_fast_stats) = (0..3)
-        .map(|_| snoop_miss_pass(true, MISSES))
-        .min_by_key(|(d, _, _)| *d)
-        .unwrap();
-    assert_eq!(
-        (miss_ref_digest, miss_ref_stats),
-        (miss_fast_digest, miss_fast_stats),
-        "presence-vector snoop skip must not change miss handling"
-    );
-    assert!(
-        miss_fast_elapsed.as_secs_f64() <= miss_ref_elapsed.as_secs_f64() * 1.10,
-        "snoop skip must not slow down the miss path: {miss_ref_elapsed:?} reference \
-         vs {miss_fast_elapsed:?} fast"
-    );
-    let mut g = c.benchmark_group("components/memsys/snoop_miss_load");
-    for (variant, fast) in [("reference", false), ("fast_path", true)] {
-        g.bench_function(BenchmarkId::from_parameter(variant), |b| {
-            let cfg =
-                MachineConfig::smp4().with_host_accel(HostAccel::fast().with_mem_fast_path(fast));
-            let mut ms = MemSystem::new(&cfg);
-            let mut stats: Vec<CpuStats> = (0..4).map(|_| CpuStats::new()).collect();
-            let mut hpm: Vec<Hpm> = (0..4).map(|_| Hpm::new(cfg.dear_min_latency)).collect();
-            let mut now = 0u64;
-            let mut i = 0u64;
-            b.iter(|| {
-                now += 600;
-                i += 1;
-                let addr = 0x1000 + (i % 300_000) * 128;
-                ms.access(&mut stats, &mut hpm, 0, now, 1, load, addr)
-            })
-        });
-    }
-    g.finish();
-}
-
 /// 4-core arithmetic loop image: the cheapest busy workload a quantum can
 /// carry (used as the simulation-throughput fixture and as the quantum
 /// floor in the verify-overhead budget).
@@ -262,7 +130,7 @@ fn bench_machine_stepping(c: &mut Criterion) {
                 m
             },
             |mut m| {
-                m.run_quantum(1000);
+                m.run(1000);
                 m
             },
             BatchSize::SmallInput,
@@ -272,9 +140,9 @@ fn bench_machine_stepping(c: &mut Criterion) {
     // Stall-heavy throughput: a line-striding FP load (one 128-byte line per
     // iteration, so every load misses to memory) feeding an immediate use,
     // which parks all four cores in long all-stalled windows. This is the
-    // case the stall-skip fast path exists for; the per-cycle reference is
-    // benchmarked alongside it so the speedup is visible in the report. Both
-    // configurations must simulate the exact same machine — asserted below
+    // case stall skip exists for; a plain `Machine::step` loop is
+    // benchmarked alongside `Machine::run` so the speedup is visible in the
+    // report. Both must simulate the exact same machine — asserted below
     // before anything is timed.
     let stall_image = {
         let mut a = Assembler::new();
@@ -289,45 +157,32 @@ fn bench_machine_stepping(c: &mut Criterion) {
         a.hlt();
         a.finish()
     };
-    let run_stall_heavy = |stall_skip: bool, mem_fast_path: bool| {
-        let cfg = MachineConfig::smp4().with_host_accel(
-            HostAccel::fast()
-                .with_stall_skip(stall_skip)
-                .with_mem_fast_path(mem_fast_path),
-        );
-        let mut m = Machine::new(cfg, stall_image.clone());
+    const STALL_CYCLES: u64 = 200_000;
+    let run_stall_heavy = |stall_skip: bool| {
+        let mut m = Machine::new(MachineConfig::smp4(), stall_image.clone());
         for cpu in 0..4 {
             m.spawn_thread(cpu, 0, &[]);
         }
-        m.run_quantum(200_000);
+        if stall_skip {
+            m.run(STALL_CYCLES);
+        } else {
+            while !m.all_halted() && m.cycle() < STALL_CYCLES {
+                m.step();
+            }
+        }
         m
     };
-    let reference = run_stall_heavy(false, true);
-    let fast = run_stall_heavy(true, true);
-    let mem_ref = run_stall_heavy(true, false);
+    let stepped = run_stall_heavy(false);
+    let skipped = run_stall_heavy(true);
     assert_eq!(
-        (reference.cycle(), reference.total_stats()),
-        (fast.cycle(), fast.total_stats()),
-        "stall-skip fast path must be cycle- and counter-identical"
-    );
-    assert_eq!(
-        (mem_ref.cycle(), mem_ref.total_stats()),
-        (fast.cycle(), fast.total_stats()),
-        "memory fast path must be cycle- and counter-identical"
+        (stepped.cycle(), stepped.total_stats()),
+        (skipped.cycle(), skipped.total_stats()),
+        "stall skip must be cycle- and counter-identical to the step loop"
     );
     let mut group = c.benchmark_group("components/machine/stall_heavy_200k_cycles");
-    for (variant, stall_skip, mem_fast_path) in [
-        ("per_cycle", false, true),
-        ("stall_skip", true, true),
-        ("stall_skip_memref", true, false),
-    ] {
+    for (variant, stall_skip) in [("per_cycle", false), ("stall_skip", true)] {
         group.bench_function(BenchmarkId::from_parameter(variant), |b| {
-            b.iter(|| {
-                run_stall_heavy(
-                    criterion::black_box(stall_skip),
-                    criterion::black_box(mem_fast_path),
-                )
-            })
+            b.iter(|| run_stall_heavy(criterion::black_box(stall_skip)))
         });
     }
     group.finish();
@@ -375,162 +230,6 @@ fn decision_inputs() -> (cobra_isa::CodeImage, SystemProfile) {
     }
     profile.absorb(&delta);
     (image, profile)
-}
-
-/// Pre-decoded block dispatch: the solo-core fast path must clear 1.5x over
-/// the per-cycle reference stepper (it targets ~5x) on the arithmetic-loop
-/// fixture, and the two runs must be bit-identical — cycle count, every
-/// event counter, and the architectural registers the loop touches.
-fn bench_block_dispatch(c: &mut Criterion) {
-    let image = arith_loop_image();
-    const CYCLES: u64 = 2_000_000;
-    let dispatch_pass = |block: bool| {
-        let cfg =
-            MachineConfig::smp4().with_host_accel(HostAccel::fast().with_block_dispatch(block));
-        let mut m = Machine::new(cfg, image.clone());
-        m.spawn_thread(0, 0, &[]);
-        let t0 = std::time::Instant::now();
-        m.run_quantum(CYCLES);
-        let elapsed = t0.elapsed();
-        let core = m.core(0);
-        let state = (m.cycle(), m.total_stats(), core.pc, core.gr(5), core.gr(6));
-        (elapsed, state)
-    };
-    let (ref_elapsed, ref_state) = (0..3)
-        .map(|_| dispatch_pass(false))
-        .min_by_key(|(d, _)| *d)
-        .unwrap();
-    let (blk_elapsed, blk_state) = (0..3)
-        .map(|_| dispatch_pass(true))
-        .min_by_key(|(d, _)| *d)
-        .unwrap();
-    assert_eq!(
-        ref_state, blk_state,
-        "block dispatch must be bit-identical to the per-cycle reference"
-    );
-    let ratio = ref_elapsed.as_secs_f64() / blk_elapsed.as_secs_f64();
-    assert!(
-        ratio >= 1.5,
-        "block dispatch must be >= 1.5x the per-cycle reference, got {ratio:.2}x          ({ref_elapsed:?} reference vs {blk_elapsed:?} block)"
-    );
-    eprintln!("block dispatch: {ratio:.2}x ({ref_elapsed:?} per-cycle vs {blk_elapsed:?} block)");
-    bench_metric(
-        c,
-        "components/machine",
-        BenchmarkId::new("block_dispatch_speedup", "x1000"),
-        (ratio * 1000.0) as u64,
-    );
-    let mut g = c.benchmark_group("components/machine/block_dispatch_2m_cycles");
-    for (variant, block) in [("per_cycle", false), ("block_dispatch", true)] {
-        g.bench_function(BenchmarkId::from_parameter(variant), |b| {
-            b.iter(|| dispatch_pass(criterion::black_box(block)))
-        });
-    }
-    g.finish();
-}
-
-/// Lockstep multicore block dispatch: with all four cores running the
-/// arithmetic loop, the safe-horizon engine must clear 2x over the same
-/// block engine with the lockstep switch off (which falls back to per-cycle
-/// interleaving whenever more than one core runs), and the two runs must be
-/// bit-identical — cycle count, every event counter, and each core's
-/// architectural state.
-fn bench_multicore_dispatch(c: &mut Criterion) {
-    // Independent add chains: a full-width (3 uops/cycle) arithmetic body,
-    // the regime optimized loop code runs in between memory operations.
-    let image = {
-        let mut a = Assembler::new();
-        a.movi(4, 1_000_000_000);
-        a.mov_to_lc(4);
-        let top = a.new_label();
-        a.bind(top);
-        for r in 5..11 {
-            a.addi(r, r, 1);
-        }
-        a.br_cloop(top);
-        a.hlt();
-        a.finish()
-    };
-    const CYCLES: u64 = 1_000_000;
-    let dispatch_pass = |lockstep: bool| {
-        let cfg = MachineConfig::smp4()
-            .with_host_accel(HostAccel::fast().with_block_dispatch_multicore(lockstep));
-        let mut m = Machine::new(cfg, image.clone());
-        for cpu in 0..4 {
-            // Sampling stays programmed on every CPU, as the perfmon driver
-            // leaves it during attached runs: the interleaved loop polls for
-            // overflow on each core every cycle, while lockstep stretches are
-            // capped by the sampling gate and poll once per stretch.
-            m.shared.hpm[cpu].program_sampling(
-                SamplingConfig {
-                    event: Event::InstRetired,
-                    period: 2000,
-                },
-                0,
-            );
-            m.spawn_thread(cpu, 0, &[]);
-        }
-        let t0 = std::time::Instant::now();
-        m.run_quantum(CYCLES);
-        let elapsed = t0.elapsed();
-        let cores: Vec<_> = (0..4)
-            .map(|cpu| {
-                let core = m.core(cpu);
-                (core.pc, core.gr(5), core.gr(6))
-            })
-            .collect();
-        let overflows: Vec<_> = (0..4)
-            .map(|cpu| m.shared.hpm[cpu].take_overflows())
-            .collect();
-        let state = (m.cycle(), m.total_stats(), cores, overflows);
-        (elapsed, state)
-    };
-    // Alternate the variants and keep the per-variant minimum: host load
-    // spikes then have to hit all five of one variant's runs to skew the
-    // ratio, instead of one unlucky back-to-back group.
-    let mut best: [Option<(std::time::Duration, _)>; 2] = [None, None];
-    for _ in 0..5 {
-        for (slot, lockstep) in [(0usize, false), (1usize, true)] {
-            let (elapsed, state) = dispatch_pass(lockstep);
-            if let Some((prev_elapsed, prev_state)) = &best[slot] {
-                assert_eq!(prev_state, &state, "dispatch runs must be deterministic");
-                if elapsed >= *prev_elapsed {
-                    continue;
-                }
-            }
-            best[slot] = Some((elapsed, state));
-        }
-    }
-    let [Some((ref_elapsed, ref_state)), Some((lock_elapsed, lock_state))] = best else {
-        unreachable!()
-    };
-    assert_eq!(
-        ref_state, lock_state,
-        "lockstep dispatch must be bit-identical to per-cycle interleaving"
-    );
-    let ratio = ref_elapsed.as_secs_f64() / lock_elapsed.as_secs_f64();
-    assert!(
-        ratio >= 2.0,
-        "lockstep multicore dispatch must be >= 2x the per-cycle interleave, got {ratio:.2}x \
-         ({ref_elapsed:?} interleaved vs {lock_elapsed:?} lockstep)"
-    );
-    eprintln!(
-        "multicore lockstep dispatch: {ratio:.2}x ({ref_elapsed:?} interleaved vs \
-         {lock_elapsed:?} lockstep)"
-    );
-    bench_metric(
-        c,
-        "components/machine",
-        BenchmarkId::new("multicore_dispatch_speedup", "x1000"),
-        (ratio * 1000.0) as u64,
-    );
-    let mut g = c.benchmark_group("components/machine/multicore_dispatch_1m_cycles");
-    for (variant, lockstep) in [("interleaved", false), ("lockstep", true)] {
-        g.bench_function(BenchmarkId::from_parameter(variant), |b| {
-            b.iter(|| dispatch_pass(criterion::black_box(lockstep)))
-        });
-    }
-    g.finish();
 }
 
 fn bench_cobra_decision(c: &mut Criterion) {
@@ -609,7 +308,7 @@ fn bench_verify_overhead(c: &mut Criterion) {
         m.spawn_thread(cpu, 0, &[]);
     }
     let quantum_ns = min_ns(5, || {
-        criterion::black_box(m.run_quantum(20_000));
+        criterion::black_box(m.run(20_000));
     });
     let tick_ns = quantum_ns + consider_ns;
     let verify_ns = min_ns(100, || {
@@ -719,7 +418,7 @@ fn bench_osr_overhead(c: &mut Criterion) {
         m.spawn_thread(cpu, 0, &[]);
     }
     let quantum_ns = min_ns(5, || {
-        criterion::black_box(m.run_quantum(20_000));
+        criterion::black_box(m.run(20_000));
     });
     let tick_ns = quantum_ns + consider_ns;
 
@@ -742,17 +441,17 @@ fn bench_osr_overhead(c: &mut Criterion) {
     });
 
     // Data plane: per-branch lookup cost while armed, as the delta between
-    // an armed and an unarmed solo quantum on the same block-dispatch
-    // engine (the armed edges point outside the loop, so control flow —
-    // and thus the work simulated — is identical).
+    // an armed and an unarmed solo quantum (the armed edges point outside
+    // the loop, so control flow — and thus the work simulated — is
+    // identical).
     let mut solo = Machine::new(MachineConfig::smp4(), arith_loop_image());
     solo.spawn_thread(0, 0, &[]);
     let solo_ns = min_ns(5, || {
-        criterion::black_box(solo.run_quantum(20_000));
+        criterion::black_box(solo.run(20_000));
     });
     solo.arm_redirect(u64::MAX, &[(0x00f0_0000, 0x00f0_0010)]);
     let armed_ns = min_ns(5, || {
-        criterion::black_box(solo.run_quantum(20_000));
+        criterion::black_box(solo.run(20_000));
     });
     assert_eq!(solo.disarm_redirect(u64::MAX), 0, "sentinel edge never hit");
     let lookup_delta_ns = armed_ns.saturating_sub(solo_ns);
@@ -874,10 +573,7 @@ criterion_group!(
     benches,
     bench_isa,
     bench_memsys,
-    bench_memsys_fastpath,
     bench_machine_stepping,
-    bench_block_dispatch,
-    bench_multicore_dispatch,
     bench_cobra_decision,
     bench_verify_overhead,
     bench_osr_overhead,

@@ -693,16 +693,6 @@ impl Cobra {
             self.finish_osr_watch(machine, w);
         }
         self.report.guest_faults = machine.total_stats().get(cobra_machine::Event::GuestFaults);
-        let blocks = machine.block_stats();
-        self.report.block_builds = blocks.builds;
-        self.report.block_invalidations = blocks.invalidations;
-        self.report.block_fallback_cycles = blocks.fallback_cycles();
-        self.report.block_fallback_mem_boundary = blocks.fallback_mem_boundary;
-        self.report.block_fallback_sampling = blocks.fallback_sampling;
-        self.report.block_fallback_no_running = blocks.fallback_no_running;
-        self.report.block_fallback_other = blocks.fallback_other;
-        self.report.block_horizon_stretches = blocks.horizon_stretches;
-        self.report.block_horizon_cycles = blocks.horizon_cycles;
         self.driver.detach(machine);
         for m in self.monitors.iter_mut().flatten() {
             let _ = m.tx.send(ToMonitor::Shutdown);
@@ -777,12 +767,6 @@ impl Cobra {
                 tick: self.tick,
                 cycle: machine.shared.cycle,
                 records_dropped: hub.dropped(),
-                block_fallback_mem_boundary: blocks.fallback_mem_boundary,
-                block_fallback_sampling: blocks.fallback_sampling,
-                block_fallback_no_running: blocks.fallback_no_running,
-                block_fallback_other: blocks.fallback_other,
-                block_horizon_stretches: blocks.horizon_stretches,
-                block_horizon_cycles: blocks.horizon_cycles,
             });
             let (records, dropped) = hub.finish();
             self.report.telemetry_records = records;
@@ -898,7 +882,7 @@ impl QuantumHook for Cobra {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cobra_machine::{HostAccel, MachineConfig};
+    use cobra_machine::MachineConfig;
     use cobra_omp::OmpRuntime;
 
     /// Attach/detach lifecycle on an idle machine.
@@ -994,44 +978,6 @@ mod tests {
         }
         assert_eq!(report.telemetry_records, log.len() as u64);
         assert_eq!(report.telemetry_dropped, 0);
-    }
-
-    /// The stall-skip fast path must be invisible to the whole pipeline:
-    /// a memory-bound parallel region under COBRA lands on the same final
-    /// cycle, event totals, and sample counts with the fast path on or off.
-    #[test]
-    fn stall_skip_fast_path_is_invisible_to_the_pipeline() {
-        let run = |stall_skip: bool| {
-            let image = {
-                let mut a = cobra_isa::Assembler::new();
-                a.movi(4, 0x1000);
-                a.movi(5, 400);
-                a.mov_to_lc(5);
-                let top = a.new_label();
-                a.bind(top);
-                a.ldfd(0, 6, 4, 8);
-                a.fma_d(0, 7, 6, 1, 0); // immediate use: load-use stall
-                a.br_cloop(top);
-                a.hlt();
-                a.finish()
-            };
-            let mut m = Machine::new(
-                MachineConfig::smp4()
-                    .with_host_accel(HostAccel::fast().with_stall_skip(stall_skip)),
-                image,
-            );
-            let mut cobra = Cobra::builder().attach(&mut m);
-            let rt = OmpRuntime {
-                quantum: 1000,
-                ..OmpRuntime::default()
-            };
-            rt.parallel_for(&mut m, Team::new(4), 0, 0, 4, &[], &mut cobra);
-            let report = cobra.detach(&mut m);
-            (m.cycle(), m.total_stats(), report.samples_forwarded)
-        };
-        let reference = run(false);
-        let fast = run(true);
-        assert_eq!(reference, fast);
     }
 
     /// A revert whose restore write lands out of range must degrade — count

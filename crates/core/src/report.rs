@@ -109,36 +109,6 @@ pub struct CobraReport {
     /// Tournaments that ended by promoting a winner.
     #[serde(default)]
     pub tournaments_promoted: u64,
-    /// Pre-decoded basic blocks lowered by the dispatch engine.
-    #[serde(default)]
-    pub block_builds: u64,
-    /// Block-cache invalidation rounds forced by patch/revert/append.
-    #[serde(default)]
-    pub block_invalidations: u64,
-    /// Cycles that fell out of block mode back to the reference stepper
-    /// (sum of the per-reason counters below).
-    #[serde(default)]
-    pub block_fallback_cycles: u64,
-    /// Fallback cycles at a lockstep multicore memory boundary (the safe
-    /// horizon was zero: some running core sits on a memory-capable uop).
-    #[serde(default)]
-    pub block_fallback_mem_boundary: u64,
-    /// Fallback cycles while HPM overflow sampling was programmed.
-    #[serde(default)]
-    pub block_fallback_sampling: u64,
-    /// Fallback cycles with no core running (stall-skip off).
-    #[serde(default)]
-    pub block_fallback_no_running: u64,
-    /// Remaining fallback cycles (solo stretch declined, lockstep switch
-    /// off, ...).
-    #[serde(default)]
-    pub block_fallback_other: u64,
-    /// Lockstep multicore stretches executed by the block engine.
-    #[serde(default)]
-    pub block_horizon_stretches: u64,
-    /// Machine cycles covered by lockstep multicore stretches.
-    #[serde(default)]
-    pub block_horizon_cycles: u64,
     /// Detach snapshots uploaded to the fleet aggregation server.
     #[serde(default)]
     pub fleet_uploads: u64,
@@ -279,7 +249,6 @@ mod tests {
                     && !k.starts_with("store_")
                     && k != "undecodable_loops"
                     && k != "verify_rejects"
-                    && !k.starts_with("block_")
                     && !k.starts_with("fleet_")
                     && k != "revert_failures"
                     && k != "deploy_failures"
@@ -301,13 +270,25 @@ mod tests {
         assert_eq!(r.fleet_uploads, 0);
         assert_eq!(r.fleet_seeds, 0);
         assert_eq!(r.fleet_errors, 0);
-        assert_eq!(r.block_builds, 0);
-        assert_eq!(r.block_fallback_cycles, 0);
-        assert_eq!(r.block_fallback_mem_boundary, 0);
-        assert_eq!(r.block_horizon_stretches, 0);
         assert_eq!(r.osr_migrations, 0);
         assert_eq!(r.osr_reverse_migrations, 0);
         assert_eq!(r.osr_rejects, 0);
         assert_eq!(r.ticks_to_all_optimized, 0);
+    }
+
+    /// A report as written before the block-dispatch engine was removed
+    /// (its `block_*` counters included) still loads and summarizes.
+    #[test]
+    fn reports_with_block_counters_still_load() {
+        // The mg NoPrefetch arm of `cobra-repro fig5 --machine smp4 --json`.
+        let json = r#"{"samples_forwarded":7364,"samples_merged":7364,"ticks":139,"forks":114,"monitors_spawned":4,"phase_changes":19,"applied":[{"plan_id":0,"kind":"NoPrefetch","loop_head":801,"description":"noprefetch on loop [801,807] (8 lfetch sites; coherent ratio 0.500, L3/kinst 0.14)","tick":24,"words_patched":7,"trace_entry":813,"candidate":null},{"plan_id":1,"kind":"NoPrefetch","loop_head":117,"description":"noprefetch on loop [117,123] (8 lfetch sites; coherent ratio 0.517, L3/kinst 0.47)","tick":29,"words_patched":7,"trace_entry":822,"candidate":null}],"reverted":[],"overhead_cycles":73128,"telemetry_records":1778,"telemetry_dropped":0,"stale_deltas":0,"guest_faults":0,"warm_started":false,"warm_seeded_decisions":0,"warm_seeded_blacklist":0,"warm_hits":0,"warm_mismatches":0,"undecodable_loops":0,"verify_rejects":0,"store_skipped_records":0,"store_errors":0,"store_saved_records":0,"revert_failures":0,"deploy_failures":0,"candidates_trialed":0,"tournaments_promoted":0,"block_builds":102,"block_invalidations":4,"block_fallback_cycles":1655091,"block_fallback_mem_boundary":1644231,"block_fallback_sampling":10860,"block_fallback_no_running":0,"block_fallback_other":0,"block_horizon_stretches":173,"block_horizon_cycles":1899,"fleet_uploads":0,"fleet_seeds":0,"fleet_errors":0,"osr_migrations":0,"osr_reverse_migrations":0,"osr_rejects":0,"ticks_to_all_optimized":0}"#;
+        let r: CobraReport = serde_json::from_str(json).expect("legacy report loads");
+        assert_eq!(r.samples_forwarded, 7364);
+        assert_eq!(r.ticks, 139);
+        assert_eq!(r.applied_of_kind(OptKind::NoPrefetch), 2);
+        assert_eq!(r.overhead_cycles, 73_128);
+        assert!(r.summary().contains("2 deployments"), "{}", r.summary());
+        let back = serde_json::to_string(&r).expect("report serializes");
+        assert!(!back.contains("block_"), "{back}");
     }
 }

@@ -311,26 +311,13 @@ pub enum TelemetryEvent {
         loop_head: CodeAddr,
         reason: String,
     },
-    /// The framework detached; final counters. The `block_*` fields carry
-    /// the block-dispatch fallback breakdown (why cycles left the block
-    /// engine for the per-cycle reference loop) and the lockstep horizon
-    /// totals; traces written before the breakdown existed load with zeros.
+    /// The framework detached; final counters. Traces that also carry
+    /// `block_*` counters (from the removed block-dispatch engine) still
+    /// load; those keys are ignored.
     Detach {
         tick: u64,
         cycle: u64,
         records_dropped: u64,
-        #[serde(default)]
-        block_fallback_mem_boundary: u64,
-        #[serde(default)]
-        block_fallback_sampling: u64,
-        #[serde(default)]
-        block_fallback_no_running: u64,
-        #[serde(default)]
-        block_fallback_other: u64,
-        #[serde(default)]
-        block_horizon_stretches: u64,
-        #[serde(default)]
-        block_horizon_cycles: u64,
     },
 }
 
@@ -619,15 +606,6 @@ pub struct TraceSummary {
     pub phase_changes: u64,
     /// Ring drops reported by the final `detach` record, if present.
     pub records_dropped: u64,
-    /// Block-dispatch fallback breakdown from the final `detach` record:
-    /// `(reason, cycles)`, omitting zero reasons. Empty for traces recorded
-    /// before the breakdown existed.
-    #[serde(default)]
-    pub block_fallbacks: Vec<(String, u64)>,
-    /// Lockstep multicore `(stretches, cycles)` from the final `detach`
-    /// record.
-    #[serde(default)]
-    pub block_horizons: (u64, u64),
     /// Fleet traffic: `(uploads, seeds, errors)`. Zero for traces recorded
     /// without `builder().fleet(addr)`.
     #[serde(default)]
@@ -646,8 +624,6 @@ impl TraceSummary {
         let mut reverts = Vec::new();
         let mut phase_changes = 0u64;
         let mut records_dropped = 0u64;
-        let mut block_fallbacks = Vec::new();
-        let mut block_horizons = (0u64, 0u64);
         let mut osr = (0u64, 0u64, 0u64);
         for r in records {
             *per_category.entry(r.event.category()).or_insert(0) += 1;
@@ -674,28 +650,8 @@ impl TraceSummary {
                 TelemetryEvent::OsrRevert { migrations, .. } => osr.1 += migrations,
                 TelemetryEvent::OsrRejected { .. } => osr.2 += 1,
                 TelemetryEvent::Detach {
-                    records_dropped: d,
-                    block_fallback_mem_boundary,
-                    block_fallback_sampling,
-                    block_fallback_no_running,
-                    block_fallback_other,
-                    block_horizon_stretches,
-                    block_horizon_cycles,
-                    ..
-                } => {
-                    records_dropped = *d;
-                    block_fallbacks = [
-                        ("multi_core_mem_boundary", *block_fallback_mem_boundary),
-                        ("sampling", *block_fallback_sampling),
-                        ("no_running_core", *block_fallback_no_running),
-                        ("other", *block_fallback_other),
-                    ]
-                    .into_iter()
-                    .filter(|&(_, n)| n > 0)
-                    .map(|(k, n)| (k.to_string(), n))
-                    .collect();
-                    block_horizons = (*block_horizon_stretches, *block_horizon_cycles);
-                }
+                    records_dropped: d, ..
+                } => records_dropped = *d,
                 _ => {}
             }
         }
@@ -714,8 +670,6 @@ impl TraceSummary {
             reverts,
             phase_changes,
             records_dropped,
-            block_fallbacks,
-            block_horizons,
             fleet,
             osr,
         }
@@ -742,17 +696,6 @@ impl fmt::Display for TraceSummary {
             writeln!(f, "  tick {tick:>5}: plan {plan_id} — {reason}")?;
         }
         writeln!(f, "phase changes: {}", self.phase_changes)?;
-        if !self.block_fallbacks.is_empty() || self.block_horizons.0 > 0 {
-            writeln!(f, "block-dispatch fallback cycles by reason:")?;
-            for (reason, n) in &self.block_fallbacks {
-                writeln!(f, "  {reason:<24} {n}")?;
-            }
-            writeln!(
-                f,
-                "lockstep horizons: {} stretches covering {} cycles",
-                self.block_horizons.0, self.block_horizons.1
-            )?;
-        }
         if self.fleet != (0, 0, 0) {
             writeln!(
                 f,
@@ -926,12 +869,6 @@ mod tests {
                     tick: 10,
                     cycle: 9900,
                     records_dropped: 7,
-                    block_fallback_mem_boundary: 12,
-                    block_fallback_sampling: 0,
-                    block_fallback_no_running: 0,
-                    block_fallback_other: 3,
-                    block_horizon_stretches: 5,
-                    block_horizon_cycles: 480,
                 },
             },
         ];
@@ -941,20 +878,9 @@ mod tests {
         assert_eq!(s.reverts.len(), 1);
         assert_eq!(s.phase_changes, 1);
         assert_eq!(s.records_dropped, 7);
-        assert_eq!(
-            s.block_fallbacks,
-            vec![
-                ("multi_core_mem_boundary".to_string(), 12),
-                ("other".to_string(), 3)
-            ],
-            "zero reasons are omitted"
-        );
-        assert_eq!(s.block_horizons, (5, 480));
         let text = format!("{s}");
         assert!(text.contains("deploy"));
         assert!(text.contains("plan 0 noprefetch @ loop 40"));
-        assert!(text.contains("multi_core_mem_boundary"));
-        assert!(text.contains("5 stretches covering 480 cycles"));
     }
 
     /// OSR records roll up into the summary's `(migrations, reverse,
@@ -1017,40 +943,33 @@ mod tests {
         );
     }
 
-    /// Detach records written before the fallback breakdown existed must
-    /// still load (the new fields default to zero).
+    /// A `detach` line as traces recorded with the block-dispatch engine
+    /// wrote it (its `block_*` counters included) still reads and
+    /// summarizes; the extra keys are ignored.
     #[test]
-    fn old_detach_records_without_breakdown_still_load() {
-        let rec = TelemetryRecord {
-            seq: 0,
-            event: TelemetryEvent::Detach {
-                tick: 1,
-                cycle: 100,
-                records_dropped: 2,
-                block_fallback_mem_boundary: 0,
-                block_fallback_sampling: 0,
-                block_fallback_no_running: 0,
-                block_fallback_other: 0,
-                block_horizon_stretches: 0,
-                block_horizon_cycles: 0,
-            },
-        };
-        let mut v = serde::Serialize::to_value(&rec);
-        // Strip the new fields to reproduce the legacy wire shape.
-        fn strip(v: &mut serde::Value) {
-            if let serde::Value::Object(fields) = v {
-                fields.retain(|(k, _)| !k.starts_with("block_"));
-                for (_, inner) in fields.iter_mut() {
-                    strip(inner);
-                }
-            }
-        }
-        strip(&mut v);
-        let back: TelemetryRecord =
-            serde::Deserialize::from_value(&v).expect("tolerant deserialize");
-        assert_eq!(back, rec);
-        let s = TraceSummary::from_records(&[back]);
-        assert!(s.block_fallbacks.is_empty());
-        assert_eq!(s.block_horizons, (0, 0));
+    fn detach_lines_with_block_counters_still_load() {
+        // Recorded by `cobra-repro fig5 --machine smp4 --trace-out` before
+        // the block-dispatch engine was removed.
+        let line = r#"{"seq":2009,"event":{"Detach":{"tick":112,"cycle":657208,"records_dropped":0,"block_fallback_mem_boundary":475564,"block_fallback_sampling":1926,"block_fallback_no_running":0,"block_fallback_other":0,"block_horizon_stretches":109,"block_horizon_cycles":1005}}}"#;
+        let records = read_jsonl(format!("{line}\n").as_bytes()).expect("legacy line parses");
+        assert_eq!(
+            records,
+            vec![TelemetryRecord {
+                seq: 2009,
+                event: TelemetryEvent::Detach {
+                    tick: 112,
+                    cycle: 657_208,
+                    records_dropped: 0,
+                },
+            }]
+        );
+        let s = TraceSummary::from_records(&records);
+        assert_eq!(s.total_records, 1);
+        let text = format!("{s}");
+        assert!(
+            text.contains("1 telemetry records (0 dropped at emission)"),
+            "{text}"
+        );
+        assert!(!text.contains("block"), "{text}");
     }
 }

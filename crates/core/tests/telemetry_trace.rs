@@ -110,12 +110,6 @@ fn one_of_each() -> Vec<TelemetryEvent> {
             tick: 9,
             cycle: 180_000,
             records_dropped: 0,
-            block_fallback_mem_boundary: 4,
-            block_fallback_sampling: 11,
-            block_fallback_no_running: 0,
-            block_fallback_other: 2,
-            block_horizon_stretches: 3,
-            block_horizon_cycles: 96,
         },
     ]
 }

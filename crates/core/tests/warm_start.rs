@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use cobra_kernels::workload::Workload;
 use cobra_kernels::{Daxpy, DaxpyParams, PrefetchPolicy};
-use cobra_machine::{HostAccel, MachineConfig};
+use cobra_machine::MachineConfig;
 use cobra_omp::{OmpRuntime, Team};
 use cobra_rt::{Cobra, CobraReport, DeployMode, Strategy, TelemetryEvent, TelemetrySink};
 
@@ -211,24 +211,6 @@ fn warm_run_resumes_tournament_winner_without_retrialing() {
         "warm run resumes the same winner\ncold: {}\nwarm: {}",
         cold.summary(),
         warm.summary()
-    );
-}
-
-#[test]
-fn host_fast_path_toggles_do_not_orphan_snapshots() {
-    // The host_accel group changes host simulation speed, not guest
-    // behaviour — a snapshot saved with it fast must warm a run with it
-    // in full reference mode (the machine fingerprint masks the group).
-    let store = tmp_store();
-    let wl = workload();
-    let fast = MachineConfig::smp4().with_host_accel(HostAccel::fast());
-    let (cold, _) = run(&wl, &fast, &store);
-    assert!(!cold.warm_started);
-    let reference = MachineConfig::smp4().with_host_accel(HostAccel::reference());
-    let (warm, _) = run(&wl, &reference, &store);
-    assert!(
-        warm.warm_started,
-        "host-accel flags must not change the key"
     );
 }
 

@@ -35,7 +35,6 @@ pub mod encode;
 pub mod image;
 pub mod insn;
 pub mod regs;
-pub mod uop;
 
 pub use asm::{Assembler, Label};
 pub use encode::{decode, encode, DecodeError};
@@ -44,7 +43,6 @@ pub use insn::{
     BrKind, CmpRel, FUnit, Insn, LfetchHint, Unit, NOP_SLOT_B, NOP_SLOT_F, NOP_SLOT_I, NOP_SLOT_M,
 };
 pub use regs::{ROT_FR_BASE, ROT_FR_SIZE, ROT_GR_BASE, ROT_GR_SIZE, ROT_PR_BASE, ROT_PR_SIZE};
-pub use uop::{MicroOp, OpClass, SrcReg};
 
 /// A code address: an index of a 64-bit instruction slot in a [`CodeImage`].
 pub type CodeAddr = u32;

@@ -179,8 +179,6 @@ impl Cache {
 pub enum FillEffect {
     /// A modified line left L3 and must be written back to memory.
     WritebackL3(LineAddr),
-    /// A clean line was displaced from L3 (accounting only).
-    EvictClean(LineAddr),
     /// A dirty line was displaced from L2 into the inclusive L3 (no bus
     /// traffic, but counted — the paper attributes the 2 MB `lfetch.excl`
     /// slowdown to increased L2 writebacks).
@@ -224,25 +222,6 @@ impl PrivateHierarchy {
     #[inline]
     pub fn state(&self, line: LineAddr) -> Option<Mesi> {
         self.l3.peek(line)
-    }
-
-    /// L1-line granularity of one coherence line.
-    #[inline]
-    pub fn l1_lines_per_coherence_line(&self) -> u64 {
-        self.l1_lines_per_coherence_line
-    }
-
-    /// Whether a coherence line is L2-resident (non-perturbing — used when
-    /// arming the memory system's MRU filter, which must not touch LRU).
-    #[inline]
-    pub fn l2_resident(&self, line: LineAddr) -> bool {
-        self.l2.peek(line).is_some()
-    }
-
-    /// Whether an L1-granularity line is L1D-resident (non-perturbing).
-    #[inline]
-    pub fn l1_resident(&self, l1_line: LineAddr) -> bool {
-        self.l1.peek(l1_line).is_some()
     }
 
     /// Probe for a load. `fp` loads skip L1; `l1_line` is the L1-granularity
@@ -290,11 +269,9 @@ impl PrivateHierarchy {
         if let Some((victim, victim_state)) = self.l3.insert(line, state) {
             // Back-invalidate inner copies of the displaced line (inclusion).
             self.invalidate_inner(victim);
-            effects.push(if victim_state == Mesi::Modified {
-                FillEffect::WritebackL3(victim)
-            } else {
-                FillEffect::EvictClean(victim)
-            });
+            if victim_state == Mesi::Modified {
+                effects.push(FillEffect::WritebackL3(victim));
+            }
         }
         // L2 holds presence; a dirty L2 victim's data lands in the inclusive
         // L3 (no bus traffic), but the writeback is still counted.

@@ -10,29 +10,13 @@
 //! not at issue — precisely the property software pipelining and prefetching
 //! exploit, and the reason removing useful prefetches hurts (Fig. 3a, 2 MB).
 
-use std::sync::Arc;
-
 use cobra_isa::insn::{Insn, Op};
 use cobra_isa::regs::Rrb;
-use cobra_isa::uop::{MicroOp, SrcReg};
 use cobra_isa::CodeAddr;
 
-use crate::blocks::Block;
 use crate::events::Event;
 use crate::machine::Shared;
 use crate::memsys::AccessKind;
-
-/// What one [`Core::step_block`] cycle did. The boundary batch reads this
-/// instead of re-scanning core state each cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StepOutcome {
-    /// The core is not Running (idle, halted, or faulted).
-    Parked,
-    /// The core began the cycle stalled and accrued stall accounting only.
-    Stalled,
-    /// The core attempted issue this cycle.
-    Issued,
-}
 
 /// Scheduling state of a core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,11 +68,6 @@ pub struct Core {
     resume_at: u64,
     /// Details of the fault that terminated the bound thread, if any.
     pub fault: Option<FaultInfo>,
-    /// Block-dispatch cursor: the cached block the PC currently sits in
-    /// (shared, immutable) and the cache generation it was fetched under.
-    /// Valid only while the generations match — see `fetch_uop`.
-    cur_block: Option<Arc<Block>>,
-    cur_block_gen: u64,
 }
 
 impl Core {
@@ -110,8 +89,6 @@ impl Core {
             pr_ready: [0; 64],
             resume_at: 0,
             fault: None,
-            cur_block: None,
-            cur_block_gen: 0,
         }
     }
 
@@ -311,70 +288,12 @@ impl Core {
             shared.stats[self.cpu].add(Event::StallCycles, 1);
             return;
         }
-        self.issue_bundle_ref(shared, now);
+        self.issue_bundle(shared, now);
     }
 
-    /// One reference-schedule cycle through the pre-decoded dispatch path:
-    /// the block-engine twin of [`Self::step`], used for the interleaved
-    /// memory-boundary cycles between lockstep horizons. Identical stall
-    /// and issue semantics — `dispatch_class` returning `None` is exactly
-    /// `issue_bundle_ref`'s stall-on-use (it sets `resume_at`) and its
-    /// `Other` arm is the same `execute` the reference calls — only the
-    /// per-slot instruction fetch/decode is replaced by the cached uops.
-    /// Only legal while no sampled counter can cross its threshold this
-    /// cycle (the caller's sampling gate guarantees it).
-    ///
-    /// The cursor block is moved out of `self` for the cycle and moved back
-    /// at the end rather than cloned, keeping the boundary-cycle hot path
-    /// free of refcount traffic.
-    pub(crate) fn step_block(&mut self, shared: &mut Shared) -> StepOutcome {
-        if self.status != CoreStatus::Running {
-            return StepOutcome::Parked;
-        }
-        let now = shared.cycle;
-        shared.stats[self.cpu].add(Event::CpuCycles, 1);
-        if now < self.resume_at {
-            shared.stats[self.cpu].add(Event::StallCycles, 1);
-            return StepOutcome::Stalled;
-        }
-        // Move the cursor block out instead of cloning the `Arc` every
-        // cycle; it is put back below before returning.
-        let mut b: Arc<Block> = match self.cur_block.take() {
-            Some(b)
-                if self.cur_block_gen == shared.blocks.generation()
-                    && shared.blocks.is_current(&shared.code)
-                    && b.uop_at(self.pc).is_some() =>
-            {
-                b
-            }
-            _ => self.refetch_block(shared),
-        };
-        let mut idx = self.pc.wrapping_sub(b.start) as usize;
-        let mut retired = 0u64;
-        for _slot in 0..3 {
-            if idx >= b.uops.len() {
-                b = self.refetch_block(shared);
-                idx = 0;
-            }
-            let u = &b.uops[idx];
-            let Some(taken) = self.dispatch_class(shared, now, u) else {
-                break;
-            };
-            retired += 1;
-            if taken || self.status != CoreStatus::Running || now < self.resume_at {
-                break;
-            }
-            idx += 1;
-        }
-        shared.stats[self.cpu].add(Event::InstRetired, retired);
-        self.cur_block = Some(b);
-        StepOutcome::Issued
-    }
-
-    /// Reference issue path: re-fetch the decoded instruction and re-derive
-    /// its source set from the opcode every slot. This is the semantic
-    /// ground truth the block dispatch engine is property-tested against.
-    fn issue_bundle_ref(&mut self, shared: &mut Shared, now: u64) {
+    /// Issue up to three slots: fetch each decoded instruction, stall on use
+    /// when a source is not ready, otherwise execute it.
+    fn issue_bundle(&mut self, shared: &mut Shared, now: u64) {
         for _slot in 0..3 {
             let insn = shared.code.insn(self.pc);
             let ready = self.sources_ready(&insn);
@@ -389,438 +308,6 @@ impl Core {
                 break;
             }
         }
-    }
-
-    /// Fused solo-core stretch: execute consecutive non-stalled cycles
-    /// through the block engine without returning to the machine loop in
-    /// between. Bit-identity with the per-cycle protocol holds because (a)
-    /// nothing inside a stretch can mutate the program text or the block
-    /// cache except block *builds* (which never bump the generation), (b)
-    /// `CPU_CYCLES` is a pure counter nobody reads while `run` is on the
-    /// stack and sampling is off — the caller must only use this when no
-    /// HPM is sampling — so it can be added in bulk, and (c) the stretch
-    /// stops *after* any memory-capable issue cycle so the machine can
-    /// drain snoop-stall penalties before the next cycle issues, exactly
-    /// where the reference loop drains them.
-    ///
-    /// Returns `(cycles_executed, drain_snoop)`; `drain_snoop` means the
-    /// last executed cycle issued a memory-capable micro-op.
-    pub(crate) fn run_stretch_solo(&mut self, shared: &mut Shared, budget: u64) -> (u64, bool) {
-        let mut executed = 0u64;
-        let mut retired = 0u64;
-        let mut drain = false;
-        let mut b: Arc<Block> = match self.cursor_block(shared) {
-            Some(b) => b,
-            None => self.refetch_block(shared),
-        };
-        // The clock lives in a local for the stretch: `execute` and the
-        // memory system take `now` as a parameter, so nothing observes
-        // `shared.cycle` until the stretch flushes it back on exit.
-        let mut now = shared.cycle;
-        let mut idx = self.pc.wrapping_sub(b.start) as usize;
-        while executed < budget {
-            if self.status != CoreStatus::Running || now < self.resume_at {
-                break;
-            }
-            let mut mem_issue = false;
-            for _slot in 0..3 {
-                if idx >= b.uops.len() {
-                    b = self.refetch_block(shared);
-                    idx = 0;
-                }
-                let u = &b.uops[idx];
-                let Some(taken) = self.dispatch_class(shared, now, u) else {
-                    break;
-                };
-                mem_issue |= u.is_mem();
-                retired += 1;
-                if taken {
-                    idx = self.pc.wrapping_sub(b.start) as usize;
-                    break;
-                }
-                idx += 1;
-                if self.status != CoreStatus::Running || now < self.resume_at {
-                    break;
-                }
-            }
-            now += 1;
-            executed += 1;
-            if mem_issue {
-                drain = true;
-                break;
-            }
-        }
-        shared.cycle = now;
-        let stats = &mut shared.stats[self.cpu];
-        stats.add(Event::CpuCycles, executed);
-        stats.add(Event::InstRetired, retired);
-        (executed, drain)
-    }
-
-    /// Lower bound on the number of cycles, starting at `now`, during which
-    /// this core *cannot* issue a memory-capable micro-op: the remaining
-    /// stall window plus the issue-rate bound on the path distance to the
-    /// nearest memory-capable uop. At most 3 uops issue per cycle (taken
-    /// branches only shorten issue groups), so a uop `d` slots ahead on
-    /// *every* path issues no earlier than `d / 3` cycles after the core
-    /// resumes. The distance follows statically known branch targets across
-    /// block boundaries ([`crate::BlockCache::mem_free_path_uops`]), so a
-    /// mem-free loop yields an effectively unbounded horizon (the budget
-    /// caps it); indirect targets count as memory-capable at distance 0.
-    ///
-    /// The lockstep scheduler takes the min over all running cores; within
-    /// that horizon no core can touch cross-core-observable state.
-    pub(crate) fn mem_free_cycles(&mut self, shared: &mut Shared, now: u64) -> u64 {
-        let b = match self.cursor_block(shared) {
-            Some(b) => b,
-            None => self.refetch_block(shared),
-        };
-        let idx = (self.pc - b.start) as usize;
-        let d = shared.blocks.mem_free_path_uops(&shared.code, &b, idx);
-        self.resume_at.saturating_sub(now) + d / 3
-    }
-
-    /// Lockstep multicore stretch: execute exactly `horizon` cycles
-    /// (starting at machine cycle `start`) on a local clock, knowing no
-    /// memory-capable uop can issue within the horizon (guaranteed by
-    /// [`Self::mem_free_cycles`] across all running cores). Everything this
-    /// touches is core-local — registers, scoreboards, own stats/HPM/BTB,
-    /// the shared-but-commutative block cache — so running each core's
-    /// stretch back-to-back is bit-identical to interleaving them per cycle.
-    ///
-    /// Replicates the reference accounting exactly: a Running core earns
-    /// `CPU_CYCLES` every cycle, `STALL_CYCLES` on cycles that *begin*
-    /// stalled (not the stall-discovery cycle), and stops earning on the
-    /// cycle after `hlt` retires or a fault is taken. Returns the number of
-    /// cycles consumed (== `horizon` unless the core left `Running`).
-    pub(crate) fn run_stretch_horizon(
-        &mut self,
-        shared: &mut Shared,
-        start: u64,
-        horizon: u64,
-    ) -> u64 {
-        let end = start + horizon;
-        let mut now = start;
-        let mut executed = 0u64;
-        let mut stalled = 0u64;
-        let mut retired = 0u64;
-        let mut b: Arc<Block> = match self.cursor_block(shared) {
-            Some(b) => b,
-            None => self.refetch_block(shared),
-        };
-        let mut idx = self.pc.wrapping_sub(b.start) as usize;
-        while now < end && self.status == CoreStatus::Running {
-            if now < self.resume_at {
-                // Bulk the stall window: each such cycle earns CpuCycles and
-                // StallCycles in the reference loop.
-                let until = self.resume_at.min(end);
-                let w = until - now;
-                executed += w;
-                stalled += w;
-                now = until;
-                continue;
-            }
-            for _slot in 0..3 {
-                if idx >= b.uops.len() {
-                    b = self.refetch_block(shared);
-                    idx = 0;
-                }
-                let u = &b.uops[idx];
-                debug_assert!(
-                    !u.is_mem(),
-                    "memory-capable uop issued inside a safe horizon"
-                );
-                let Some(taken) = self.dispatch_class(shared, now, u) else {
-                    break;
-                };
-                retired += 1;
-                if taken {
-                    idx = self.pc.wrapping_sub(b.start) as usize;
-                    break;
-                }
-                idx += 1;
-                if self.status != CoreStatus::Running || now < self.resume_at {
-                    break;
-                }
-            }
-            now += 1;
-            executed += 1;
-        }
-        let stats = &mut shared.stats[self.cpu];
-        stats.add(Event::CpuCycles, executed);
-        stats.add(Event::StallCycles, stalled);
-        stats.add(Event::InstRetired, retired);
-        executed
-    }
-
-    /// One dispatch site per opcode class: readiness *and* execution of the
-    /// specialized classes run through flat pre-extracted operands; anything
-    /// else falls through to the source-list walk plus the full interpreter
-    /// arm. Each specialized arm replicates its [`Self::execute`] arm (and
-    /// its slice of [`Self::uop_sources_ready`]) *exactly*, including the
-    /// predicated-off fall-through (`br.cloop` ignores qp by architecture) —
-    /// the `block_dispatch_equivalence` suite holds the two to bit-identity.
-    ///
-    /// Returns `None` when a source is not ready (the stall-on-use
-    /// `resume_at` has been set), otherwise whether a taken branch ended the
-    /// issue group.
-    #[inline]
-    fn dispatch_class(&mut self, shared: &mut Shared, now: u64, u: &MicroOp) -> Option<bool> {
-        use cobra_isa::uop::OpClass;
-        match u.class {
-            OpClass::Add => {
-                let ready = self
-                    .pr_ready_at(u.insn.qp)
-                    .max(self.gr_ready_at(u.a))
-                    .max(self.gr_ready_at(u.b));
-                if ready > now {
-                    self.resume_at = ready;
-                    return None;
-                }
-                if self.read_pr(u.insn.qp) {
-                    let v = self.read_gr(u.a).wrapping_add(self.read_gr(u.b));
-                    self.write_gr(u.d, v, now + 1);
-                }
-                self.pc += 1;
-                Some(false)
-            }
-            OpClass::Sub => {
-                let ready = self
-                    .pr_ready_at(u.insn.qp)
-                    .max(self.gr_ready_at(u.a))
-                    .max(self.gr_ready_at(u.b));
-                if ready > now {
-                    self.resume_at = ready;
-                    return None;
-                }
-                if self.read_pr(u.insn.qp) {
-                    let v = self.read_gr(u.a).wrapping_sub(self.read_gr(u.b));
-                    self.write_gr(u.d, v, now + 1);
-                }
-                self.pc += 1;
-                Some(false)
-            }
-            OpClass::AddI => {
-                let ready = self.pr_ready_at(u.insn.qp).max(self.gr_ready_at(u.a));
-                if ready > now {
-                    self.resume_at = ready;
-                    return None;
-                }
-                if self.read_pr(u.insn.qp) {
-                    let v = self.read_gr(u.a).wrapping_add(u.imm);
-                    self.write_gr(u.d, v, now + 1);
-                }
-                self.pc += 1;
-                Some(false)
-            }
-            OpClass::MovI => {
-                let ready = self.pr_ready_at(u.insn.qp);
-                if ready > now {
-                    self.resume_at = ready;
-                    return None;
-                }
-                if self.read_pr(u.insn.qp) {
-                    self.write_gr(u.d, u.imm, now + 1);
-                }
-                self.pc += 1;
-                Some(false)
-            }
-            OpClass::Nop => {
-                let ready = self.pr_ready_at(u.insn.qp);
-                if ready > now {
-                    self.resume_at = ready;
-                    return None;
-                }
-                self.pc += 1;
-                Some(false)
-            }
-            OpClass::BrCloop => {
-                let ready = self.pr_ready_at(u.insn.qp);
-                if ready > now {
-                    self.resume_at = ready;
-                    return None;
-                }
-                if self.lc > 0 {
-                    self.lc -= 1;
-                    Some(self.take_branch(shared, self.pc, u.imm as CodeAddr))
-                } else {
-                    self.pc += 1;
-                    Some(false)
-                }
-            }
-            OpClass::Cmp => {
-                let ready = self
-                    .pr_ready_at(u.insn.qp)
-                    .max(self.gr_ready_at(u.a))
-                    .max(self.gr_ready_at(u.b));
-                if ready > now {
-                    self.resume_at = ready;
-                    return None;
-                }
-                if self.read_pr(u.insn.qp) {
-                    let Op::Cmp { p2, rel, .. } = u.insn.op else {
-                        unreachable!("OpClass::Cmp lowers from Op::Cmp only")
-                    };
-                    let r = rel.eval_i64(self.read_gr(u.a), self.read_gr(u.b));
-                    self.write_pr(u.d, r, now + 1);
-                    self.write_pr(p2, !r, now + 1);
-                }
-                self.pc += 1;
-                Some(false)
-            }
-            OpClass::CmpI => {
-                let ready = self.pr_ready_at(u.insn.qp).max(self.gr_ready_at(u.a));
-                if ready > now {
-                    self.resume_at = ready;
-                    return None;
-                }
-                if self.read_pr(u.insn.qp) {
-                    let Op::CmpI { p2, rel, .. } = u.insn.op else {
-                        unreachable!("OpClass::CmpI lowers from Op::CmpI only")
-                    };
-                    let r = rel.eval_i64(u.imm, self.read_gr(u.a));
-                    self.write_pr(u.d, r, now + 1);
-                    self.write_pr(p2, !r, now + 1);
-                }
-                self.pc += 1;
-                Some(false)
-            }
-            OpClass::BrCond => {
-                let ready = self.pr_ready_at(u.insn.qp);
-                if ready > now {
-                    self.resume_at = ready;
-                    return None;
-                }
-                if self.read_pr(u.insn.qp) {
-                    Some(self.take_branch(shared, self.pc, u.imm as CodeAddr))
-                } else {
-                    self.pc += 1;
-                    Some(false)
-                }
-            }
-            OpClass::ShlI => {
-                let ready = self.pr_ready_at(u.insn.qp).max(self.gr_ready_at(u.a));
-                if ready > now {
-                    self.resume_at = ready;
-                    return None;
-                }
-                if self.read_pr(u.insn.qp) {
-                    let v = ((self.read_gr(u.a) as u64) << u.b) as i64;
-                    self.write_gr(u.d, v, now + 1);
-                }
-                self.pc += 1;
-                Some(false)
-            }
-            OpClass::ShrI => {
-                let ready = self.pr_ready_at(u.insn.qp).max(self.gr_ready_at(u.a));
-                if ready > now {
-                    self.resume_at = ready;
-                    return None;
-                }
-                if self.read_pr(u.insn.qp) {
-                    let v = ((self.read_gr(u.a) as u64) >> u.b) as i64;
-                    self.write_gr(u.d, v, now + 1);
-                }
-                self.pc += 1;
-                Some(false)
-            }
-            OpClass::SarI => {
-                let ready = self.pr_ready_at(u.insn.qp).max(self.gr_ready_at(u.a));
-                if ready > now {
-                    self.resume_at = ready;
-                    return None;
-                }
-                if self.read_pr(u.insn.qp) {
-                    let v = self.read_gr(u.a) >> u.b;
-                    self.write_gr(u.d, v, now + 1);
-                }
-                self.pc += 1;
-                Some(false)
-            }
-            OpClass::FaddD => {
-                let ready = self
-                    .pr_ready_at(u.insn.qp)
-                    .max(self.fr_ready_at(u.a))
-                    .max(self.fr_ready_at(u.b));
-                if ready > now {
-                    self.resume_at = ready;
-                    return None;
-                }
-                if self.read_pr(u.insn.qp) {
-                    let v = self.read_fr(u.a) + self.read_fr(u.b);
-                    self.write_fr(u.d, v, now + shared.cfg.fp_latency);
-                }
-                self.pc += 1;
-                Some(false)
-            }
-            OpClass::FmulD => {
-                let ready = self
-                    .pr_ready_at(u.insn.qp)
-                    .max(self.fr_ready_at(u.a))
-                    .max(self.fr_ready_at(u.b));
-                if ready > now {
-                    self.resume_at = ready;
-                    return None;
-                }
-                if self.read_pr(u.insn.qp) {
-                    let v = self.read_fr(u.a) * self.read_fr(u.b);
-                    self.write_fr(u.d, v, now + shared.cfg.fp_latency);
-                }
-                self.pc += 1;
-                Some(false)
-            }
-            OpClass::Other => {
-                let ready = self.uop_sources_ready(u);
-                if ready > now {
-                    self.resume_at = ready;
-                    return None;
-                }
-                Some(self.execute(shared, now, u.insn))
-            }
-        }
-    }
-
-    /// The cursor block, when it is still valid and covers the current PC.
-    #[inline]
-    fn cursor_block(&self, shared: &Shared) -> Option<Arc<Block>> {
-        if self.cur_block_gen == shared.blocks.generation()
-            && shared.blocks.is_current(&shared.code)
-        {
-            if let Some(b) = &self.cur_block {
-                if b.uop_at(self.pc).is_some() {
-                    return Some(Arc::clone(b));
-                }
-            }
-        }
-        None
-    }
-
-    /// Re-aim the cursor at the block covering the current PC, building it
-    /// on demand.
-    #[inline]
-    fn refetch_block(&mut self, shared: &mut Shared) -> Arc<Block> {
-        let b = shared.blocks.get_or_build(&shared.code, self.pc);
-        self.cur_block_gen = shared.blocks.generation();
-        self.cur_block = Some(Arc::clone(&b));
-        b
-    }
-
-    /// Readiness of a pre-lowered op: max over the qualifying predicate and
-    /// the pre-resolved source list. Must equal [`Self::sources_ready`] of
-    /// the same instruction for every scoreboard state.
-    #[inline]
-    fn uop_sources_ready(&self, u: &MicroOp) -> u64 {
-        let mut t = self.pr_ready_at(u.insn.qp);
-        for s in u.sources() {
-            let r = match *s {
-                SrcReg::Gr(r) => self.gr_ready_at(r),
-                SrcReg::Fr(r) => self.fr_ready_at(r),
-            };
-            if r > t {
-                t = r;
-            }
-        }
-        t
     }
 
     /// Terminate the bound thread on an out-of-bounds data access. The PC is
@@ -1259,14 +746,8 @@ impl Core {
         // transfer that actually happened.
         let target = if shared.redirects.is_empty() {
             target
-        } else if let Some(to) = shared.redirects.redirect(target) {
-            // Drop the decoded-block cursor so the next fetch re-resolves
-            // in the new version (the per-cycle revalidation would catch it
-            // too; this keeps the cursor honest immediately).
-            self.cur_block = None;
-            to
         } else {
-            target
+            shared.redirects.redirect(target).unwrap_or(target)
         };
         shared.hpm[self.cpu].btb_push(src, target);
         self.pc = target;
@@ -1302,8 +783,8 @@ impl Core {
         self.lc
     }
 
-    /// Cycle until which the core is stalled. The stall-skip fast path reads
-    /// this to find the earliest wake-up point across all Running cores.
+    /// Cycle until which the core is stalled. Stall skip reads this to find
+    /// the earliest wake-up point across all Running cores.
     pub fn resume_at(&self) -> u64 {
         self.resume_at
     }

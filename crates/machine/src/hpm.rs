@@ -166,8 +166,8 @@ impl Hpm {
     /// Events remaining until the next sampling overflow, given the current
     /// free-running count of the sampled event. `None` when sampling is off.
     ///
-    /// The stall-skip fast path uses this to cap a bulk cycle jump: when the
-    /// sampled event advances once per stalled cycle (`CPU_CYCLES`,
+    /// Stall skip uses this to cap a bulk cycle jump: when the sampled
+    /// event advances once per stalled cycle (`CPU_CYCLES`,
     /// `BE_STALL_CYCLES`), skipping more than the headroom would smear an
     /// overflow capture past its true cycle.
     pub fn sampling_headroom(&self, current: u64) -> Option<u64> {

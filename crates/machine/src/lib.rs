@@ -21,7 +21,6 @@
 //!
 //! See `DESIGN.md` at the workspace root for the full substitution argument.
 
-pub mod blocks;
 pub mod bus;
 pub mod cache;
 pub mod config;
@@ -32,13 +31,12 @@ pub mod machine;
 pub mod memsys;
 pub mod redirect;
 
-pub use blocks::{Block, BlockCache, BlockStats, FallbackReason};
 pub use bus::Bus;
 pub use cache::{Cache, HitLevel, Mesi, PrivateHierarchy};
-pub use config::{CacheGeometry, HostAccel, MachineConfig, Topology};
+pub use config::{CacheGeometry, MachineConfig, Topology};
 pub use core::{Core, CoreStatus, FaultInfo};
 pub use events::{CpuStats, Event, ALL_EVENTS, NUM_EVENTS};
 pub use hpm::{BtbEntry, DearRecord, Hpm, OverflowCapture, SamplingConfig, BTB_PAIRS};
-pub use machine::{DataMem, Machine, ProgramCode, RunResult, Shared};
+pub use machine::{BlockStats, DataMem, Machine, ProgramCode, RunResult, Shared};
 pub use memsys::{AccessKind, AccessOutcome, MemSystem, PageMap};
 pub use redirect::RedirectTable;

@@ -14,9 +14,8 @@ use cobra_isa::image::{CodeImage, PatchError};
 use cobra_isa::insn::Insn;
 use cobra_isa::CodeAddr;
 
-use crate::blocks::{BlockCache, BlockStats, FallbackReason};
 use crate::config::MachineConfig;
-use crate::core::{Core, CoreStatus, StepOutcome};
+use crate::core::{Core, CoreStatus};
 use crate::events::{self, CpuStats, Event};
 use crate::hpm::Hpm;
 use crate::memsys::MemSystem;
@@ -109,11 +108,6 @@ impl DataMem {
 pub struct ProgramCode {
     image: CodeImage,
     decoded: Vec<Insn>,
-    /// Mutation counter: incremented by every patch, append, or revert. The
-    /// block cache compares it against the generation its contents were
-    /// lowered from, so stale blocks can never execute even when a caller
-    /// mutates the code without going through the [`Machine`] hooks.
-    generation: u64,
 }
 
 impl ProgramCode {
@@ -121,11 +115,7 @@ impl ProgramCode {
         let decoded = image
             .decode_all()
             .expect("undecodable instruction in program image");
-        ProgramCode {
-            image,
-            decoded,
-            generation: 0,
-        }
+        ProgramCode { image, decoded }
     }
 
     /// Decoded instruction at `addr` (the core's fetch path).
@@ -144,12 +134,6 @@ impl ProgramCode {
         self.decoded.is_empty()
     }
 
-    /// Current mutation generation (see the field doc).
-    #[inline]
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// The underlying binary image (read-only view).
     pub fn image(&self) -> &CodeImage {
         &self.image
@@ -159,7 +143,6 @@ impl ProgramCode {
     pub fn patch(&mut self, addr: CodeAddr, insn: &Insn) -> Result<u64, PatchError> {
         let old = self.image.patch(addr, insn)?;
         self.decoded[addr as usize] = *insn;
-        self.generation += 1;
         Ok(old)
     }
 
@@ -170,7 +153,6 @@ impl ProgramCode {
             .image
             .insn(addr)
             .expect("patch_word validated the word");
-        self.generation += 1;
         Ok(old)
     }
 
@@ -185,7 +167,6 @@ impl ProgramCode {
                     .expect("fresh trace decodes"),
             );
         }
-        self.generation += 1;
         start
     }
 
@@ -204,7 +185,6 @@ impl ProgramCode {
                 .insn(rec.addr)
                 .expect("reverted word decoded when first patched");
         }
-        self.generation += 1;
     }
 }
 
@@ -217,9 +197,6 @@ pub struct Shared {
     pub memsys: MemSystem,
     pub stats: Vec<CpuStats>,
     pub hpm: Vec<Hpm>,
-    /// Pre-decoded basic blocks of `code` (see [`crate::blocks`]); consulted
-    /// by the cores only when [`crate::HostAccel::block_dispatch`] is on.
-    pub blocks: BlockCache,
     /// Armed on-stack-replacement edges (see [`crate::redirect`]); consulted
     /// by `Core::take_branch` on every taken branch while non-empty.
     pub redirects: RedirectTable,
@@ -239,33 +216,15 @@ pub struct RunResult {
     pub faulted: bool,
 }
 
-/// Most interleaved memory-boundary cycles executed per
-/// [`Machine::run_boundary_batch`] before re-checking for an opening
-/// lockstep horizon. Large enough to amortize the per-batch gate and census
-/// work, small enough that a newly mem-free stretch of code is picked up
-/// quickly.
-const BOUNDARY_BATCH: u64 = 64;
-
-/// Smallest lockstep horizon worth running as a stretch: shorter horizons
-/// cost more in per-core stretch setup (cursor, stats flush, clock
-/// reconciliation) than they save over interleaved boundary cycles, which
-/// handle them instead. Purely a performance threshold — any value is
-/// bit-exact.
-const MIN_HORIZON: u64 = 4;
-
-/// How HPM sampling constrains block-engine stretches at the current cycle
-/// (see [`Machine::sampling_gate`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SamplingGate {
-    /// No CPU is sampling: stretches are bounded only by the cycle budget.
-    Off,
-    /// Stretches of up to this many cycles provably cross no sampling
-    /// threshold. Zero means a crossing is imminent: the next cycle must
-    /// run through the polled per-cycle path.
-    Cap(u64),
-    /// Some CPU samples an event with no per-cycle advance bound; the block
-    /// engine is off until sampling is reprogrammed.
-    Unsupported,
+/// Block-engine counters, always zero: the simulator has one per-cycle
+/// engine. Exists only for the benchmark's per-layer readout (`perfbench`
+/// reports these four fields); see [`Machine::block_stats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BlockStats {
+    pub builds: u64,
+    pub fallback_mem_boundary: u64,
+    pub fallback_sampling: u64,
+    pub horizon_cycles: u64,
 }
 
 /// A simulated multiprocessor executing one program image.
@@ -285,7 +244,6 @@ impl Machine {
             memsys: MemSystem::new(&cfg),
             stats: (0..n).map(|_| CpuStats::new()).collect(),
             hpm: (0..n).map(|_| Hpm::new(cfg.dear_min_latency)).collect(),
-            blocks: BlockCache::new(),
             redirects: RedirectTable::default(),
             cycle: 0,
             cfg,
@@ -434,228 +392,14 @@ impl Machine {
         }
     }
 
-    /// First Running CPU (if any) and whether more than one core is Running.
-    /// The solo block loop needs the "exactly one" case; the lockstep
-    /// multicore loop needs "two or more".
-    fn running_census(&self) -> (Option<usize>, bool) {
-        let mut it = self
-            .cores
-            .iter()
-            .filter(|c| c.status == CoreStatus::Running);
-        let first = it.next().map(|c| c.cpu);
-        (first, it.next().is_some())
-    }
-
-    /// Execute consecutive cycles of the solo running core through the block
-    /// dispatch engine. Only legal when no CPU has HPM sampling programmed
-    /// (the caller checks): the per-cycle overflow polls are then no-ops and
-    /// `CPU_CYCLES` is unobserved until `run` returns, so the core can
-    /// execute whole stretches back-to-back on a local clock, surfacing only
-    /// on memory-issue cycles for the snoop-stall drain. Returns whether any
-    /// cycle was executed; exits back to [`Self::run`] on stalls (so
-    /// stall-skip handles the window), on status changes (`hlt`, faults),
-    /// and at the cycle budget.
-    fn run_blocks_solo(&mut self, cpu: usize, budget: u64) -> bool {
-        let n_cpus = self.cores.len();
-        let mut total = 0u64;
-        while total < budget {
-            let (executed, drain_snoop) =
-                self.cores[cpu].run_stretch_solo(&mut self.shared, budget - total);
-            total += executed;
-            if executed == 0 {
-                break;
-            }
-            if drain_snoop {
-                // The drained penalties belong to the issue cycle just
-                // executed (the clock has already moved one past it).
-                let now = self.shared.cycle - 1;
-                for i in 0..n_cpus {
-                    let stall = self.shared.memsys.take_snoop_stall(i);
-                    self.cores[i].add_stall(now, stall);
-                }
-                continue;
-            }
-            break;
-        }
-        total > 0
-    }
-
-    /// Execute one lockstep multicore stretch: compute the **safe horizon**
-    /// — the min over all Running cores of [`Core::mem_free_cycles`], capped
-    /// by the remaining `budget` — and, when it is non-zero, run every
-    /// Running core's stretch back-to-back on a local clock for exactly that
-    /// many cycles.
-    ///
-    /// Bit-identity with the per-cycle interleaving holds because within the
-    /// horizon no core can issue a memory-capable micro-op (the only class
-    /// that touches [`DataMem`], the memory system, or another CPU's
-    /// stats/stalls), so each core's cycles depend only on its own state:
-    /// the per-cycle schedule and the back-to-back schedule compute the same
-    /// function. Snoop stalls are provably zero inside the horizon — they
-    /// accrue only during `MemSystem::access` — and none are pending on
-    /// entry (the run loop drains them every cycle; debug-asserted).
-    ///
-    /// Returns false (no cycle executed, no state touched beyond possible
-    /// block builds) when the horizon is zero: some running core sits within
-    /// the same issue cycle as a memory-capable uop, so the cycle must run
-    /// interleaved. The clock advances by the longest per-core consumption —
-    /// cores that stay `Running` always consume the full horizon, so this
-    /// only differs when every core halts or faults mid-stretch, exactly
-    /// matching where the reference loop would stop counting.
-    fn run_lockstep_horizon(&mut self, budget: u64) -> bool {
-        let now = self.shared.cycle;
-        let mut h = budget;
-        for i in 0..self.cores.len() {
-            if self.cores[i].status != CoreStatus::Running {
-                continue;
-            }
-            debug_assert_eq!(
-                self.shared.memsys.snoop_stall_pending(i),
-                0,
-                "snoop stalls must be drained before a lockstep stretch"
-            );
-            h = h.min(self.cores[i].mem_free_cycles(&mut self.shared, now));
-            if h < MIN_HORIZON {
-                // Too short to amortize the per-core stretch setup — the
-                // boundary batch runs these cycles interleaved instead
-                // (still through pre-decoded dispatch, still bit-exact).
-                return false;
-            }
-        }
-        let mut max_executed = 0u64;
-        for i in 0..self.cores.len() {
-            if self.cores[i].status != CoreStatus::Running {
-                continue;
-            }
-            let executed = self.cores[i].run_stretch_horizon(&mut self.shared, now, h);
-            max_executed = max_executed.max(executed);
-        }
-        self.shared.cycle = now + max_executed;
-        self.shared.blocks.note_horizon(max_executed);
-        max_executed > 0
-    }
-
-    /// One interleaved machine cycle through the pre-decoded dispatch path:
-    /// the block-engine twin of [`Self::step`], used for the memory-boundary
-    /// cycles between lockstep horizons (the dominant regime in load/store
-    /// dense guest loops, where horizons collapse to zero almost every
-    /// cycle). Cores issue in CPU order at the shared clock via
-    /// [`Core::step_block`] — bit-identical to the reference schedule, only
-    /// skipping the per-slot fetch/decode — then snoop-stall penalties drain
-    /// exactly as in [`Self::step`]. Returns how many cores are Running and
-    /// whether any of them attempted issue, so the boundary batch can hand
-    /// off to the solo/stall-skip paths without a second core scan.
-    fn step_block_cycle(&mut self) -> (u32, bool) {
-        let mut running = 0u32;
-        let mut issued = false;
-        for i in 0..self.cores.len() {
-            if self.cores[i].step_block(&mut self.shared) == StepOutcome::Issued {
-                issued = true;
-            }
-            // Post-step status, not the outcome: a core that issues a
-            // halting/faulting uop this cycle must not count as Running,
-            // or the boundary batch would run one extra empty cycle.
-            if self.cores[i].status == CoreStatus::Running {
-                running += 1;
-            }
-        }
-        for i in 0..self.cores.len() {
-            let stall = self.shared.memsys.take_snoop_stall(i);
-            self.cores[i].add_stall(self.shared.cycle, stall);
-        }
-        self.shared.cycle += 1;
-        for cpu in 0..self.cores.len() {
-            let core = &self.cores[cpu];
-            self.shared.hpm[cpu].poll_overflow(
-                &self.shared.stats[cpu],
-                core.pc,
-                core.tid.unwrap_or(u32::MAX),
-                self.shared.cycle,
-            );
-        }
-        (running, issued)
-    }
-
-    /// Run a batch of interleaved memory-boundary cycles through
-    /// [`Self::step_block_cycle`], counting each against the
-    /// `MultiCoreMemBoundary` fallback reason. The batch ends at `budget`
-    /// (already capped by the sampling gate), at [`BOUNDARY_BATCH`] cycles
-    /// (so the caller re-checks for an opening horizon), when fewer than two
-    /// cores remain Running (solo/halt handling takes over), or when no
-    /// Running core issued (the stall-skip fast path takes over). Every
-    /// executed cycle is reference-faithful on the shared clock, so
-    /// stopping at any point is safe. Always executes at least one cycle.
-    fn run_boundary_batch(&mut self, budget: u64) {
-        let cap = budget.clamp(1, BOUNDARY_BATCH);
-        let mut n = 0u64;
-        while n < cap {
-            let (running, issued) = self.step_block_cycle();
-            n += 1;
-            if running < 2 || !issued {
-                break;
-            }
-        }
-        self.shared
-            .blocks
-            .note_fallback_cycles(FallbackReason::MultiCoreMemBoundary, n);
-    }
-
-    /// How many back-to-back cycles the block engine may run before HPM
-    /// sampling could observe the difference. A stretch skips the per-cycle
-    /// overflow polls and flushes `CPU_CYCLES`/`INST_RETIRED` in bulk at its
-    /// end, which is unobservable exactly while no sampled counter crosses
-    /// its threshold inside the stretch: counters are monotone, so if the
-    /// sampled event's total advance over `h` cycles stays strictly below
-    /// the headroom, every skipped poll was a no-op and the end-of-stretch
-    /// totals equal the reference's. The advance is bounded per cycle by the
-    /// event: ≤ 3 retired instructions (issue width), ≤ 1 cpu/stall cycle,
-    /// ≤ 1 taken branch (a taken branch ends its issue group). Events
-    /// without such a bound (cache, bus, DEAR, fault counters) force the
-    /// polled per-cycle path, as before. The crossing cycle itself always
-    /// runs per-cycle, capturing on the exact reference cycle.
-    fn sampling_gate(&self) -> SamplingGate {
-        let mut cap: Option<u64> = None;
-        for cpu in 0..self.cores.len() {
-            let Some(sc) = self.shared.hpm[cpu].sampling_config() else {
-                continue;
-            };
-            let per_cycle: u64 = match sc.event {
-                Event::InstRetired => 3,
-                Event::CpuCycles | Event::StallCycles | Event::BrTaken => 1,
-                _ => return SamplingGate::Unsupported,
-            };
-            let current = self.shared.stats[cpu].get(sc.event);
-            let headroom = self.shared.hpm[cpu]
-                .sampling_headroom(current)
-                .unwrap_or(u64::MAX);
-            let h = headroom.saturating_sub(1) / per_cycle;
-            cap = Some(cap.map_or(h, |c| c.min(h)));
-        }
-        match cap {
-            None => SamplingGate::Off,
-            Some(c) => SamplingGate::Cap(c),
-        }
-    }
-
     /// Run until every bound thread terminates or `max_cycles` elapse.
     ///
-    /// With [`crate::HostAccel::stall_skip`] on (the default), cycles where
-    /// no core can execute are skipped in bulk to the earliest wake-up
-    /// point; with [`crate::HostAccel::block_dispatch`] on (the default) and
-    /// exactly one core running, execute cycles run back-to-back through the
-    /// pre-decoded block engine; with
-    /// [`crate::HostAccel::block_dispatch_multicore`] additionally on and
-    /// two or more cores running, all running cores execute lockstep
-    /// safe-horizon stretches (see [`Self::run_lockstep_horizon`]). With
-    /// HPM sampling programmed, stretches are additionally capped by
-    /// [`Self::sampling_gate`] so no sampling threshold can be crossed
-    /// inside a stretch. Results are bit-identical to the per-cycle
-    /// reference loop in every combination (enforced by the
-    /// `stall_skip_equivalence` and `block_dispatch_equivalence` suites).
-    /// Turning the flags off selects the reference loop.
+    /// Cycles where no core can execute are skipped in bulk to the earliest
+    /// wake-up point ([`Self::stall_skip_window`]); every other cycle goes
+    /// through [`Self::step`]. Results are bit-identical to a plain
+    /// [`Self::step`] loop (enforced by the `stall_skip_equivalence` suite).
     pub fn run(&mut self, max_cycles: u64) -> RunResult {
         let start = self.shared.cycle;
-        let block_dispatch = self.shared.cfg.host_accel.block_dispatch;
         while !self.all_halted() {
             let elapsed = self.shared.cycle - start;
             if elapsed >= max_cycles {
@@ -665,72 +409,16 @@ impl Machine {
                     faulted: self.any_faulted(),
                 };
             }
-            if self.shared.cfg.host_accel.stall_skip {
-                if let Some(n) = self.stall_skip_window(max_cycles - elapsed) {
-                    self.skip_stalled(n);
-                    continue;
-                }
+            match self.stall_skip_window(max_cycles - elapsed) {
+                Some(n) => self.skip_stalled(n),
+                None => self.step(),
             }
-            if block_dispatch {
-                // Sampling no longer disables the block engine outright:
-                // the gate bounds each stretch so no sampling threshold can
-                // be crossed inside it (the skipped per-cycle overflow polls
-                // are then provably no-ops), and the crossing cycle itself
-                // runs through the polled per-cycle path below.
-                let budget = match self.sampling_gate() {
-                    SamplingGate::Off => max_cycles - elapsed,
-                    SamplingGate::Cap(c) => c.min(max_cycles - elapsed),
-                    SamplingGate::Unsupported => 0,
-                };
-                if budget > 0 {
-                    let (first_running, multi) = self.running_census();
-                    let reason = match first_running {
-                        None => FallbackReason::NoRunningCore,
-                        Some(cpu) if !multi => {
-                            if self.run_blocks_solo(cpu, budget) {
-                                continue;
-                            }
-                            FallbackReason::Other
-                        }
-                        Some(_) if self.shared.cfg.host_accel.block_dispatch_multicore => {
-                            // OSR redirects divert taken branches away from
-                            // their static targets, so the static memory
-                            // distance behind the safe horizon is no longer
-                            // a lower bound — interleave (reference-faithful
-                            // per-cycle block stepping) while any are armed.
-                            if self.shared.redirects.is_empty() && self.run_lockstep_horizon(budget)
-                            {
-                                continue;
-                            }
-                            // Memory-boundary regime: horizons are collapsing
-                            // (some core sits within an issue cycle of a
-                            // memory-capable uop), so interleave — but keep
-                            // dispatching pre-decoded uops, and batch the
-                            // cycles so the gate/census/horizon overhead is
-                            // paid once per batch, not once per cycle.
-                            self.run_boundary_batch(budget);
-                            continue;
-                        }
-                        Some(_) => FallbackReason::Other,
-                    };
-                    self.shared.blocks.note_fallback(reason);
-                } else {
-                    self.shared.blocks.note_fallback(FallbackReason::Sampling);
-                }
-            }
-            self.step();
         }
         RunResult {
             cycles: self.shared.cycle - start,
             halted: true,
             faulted: self.any_faulted(),
         }
-    }
-
-    /// Run at most `quantum` cycles (stops early when all threads halt).
-    /// Returns the cycles actually executed.
-    pub fn run_quantum(&mut self, quantum: u64) -> RunResult {
-        self.run(quantum)
     }
 
     /// Release every halted or faulted core back to the idle pool (end of a
@@ -763,38 +451,25 @@ impl Machine {
         self.shared.cycle
     }
 
-    /// Patch one instruction slot in the live image (COBRA deployment),
-    /// precisely invalidating the pre-decoded blocks covering the slot.
+    /// Patch one instruction slot in the live image (COBRA deployment).
     pub fn patch(&mut self, addr: CodeAddr, insn: &Insn) -> Result<u64, PatchError> {
-        let old = self.shared.code.patch(addr, insn)?;
-        self.shared
-            .blocks
-            .note_patch(addr, self.shared.code.generation());
-        Ok(old)
+        self.shared.code.patch(addr, insn)
     }
 
     /// Patch one slot from a raw word (COBRA ships encoded words).
     pub fn patch_word(&mut self, addr: CodeAddr, word: u64) -> Result<u64, PatchError> {
-        let old = self.shared.code.patch_word(addr, word)?;
-        self.shared
-            .blocks
-            .note_patch(addr, self.shared.code.generation());
-        Ok(old)
+        self.shared.code.patch_word(addr, word)
     }
 
     /// Append an optimized trace to the live image.
     pub fn append_trace(&mut self, insns: &[Insn]) -> CodeAddr {
-        let old_len = self.shared.code.len();
-        let entry = self.shared.code.append_trace(insns);
-        self.shared
-            .blocks
-            .note_append(old_len, self.shared.code.generation());
-        entry
+        self.shared.code.append_trace(insns)
     }
 
-    /// Block dispatch telemetry (builds / invalidations / fallback cycles).
+    /// Always zero (see [`BlockStats`]). Exists only for the benchmark's
+    /// per-layer readout.
     pub fn block_stats(&self) -> BlockStats {
-        self.shared.blocks.stats()
+        BlockStats::default()
     }
 
     /// Arm on-stack-replacement edges for `plan_id`: taken branches to each

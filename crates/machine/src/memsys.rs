@@ -115,53 +115,6 @@ impl PageMap {
     }
 }
 
-/// One CPU's MRU line filter: the fast path may satisfy an access without
-/// touching the cache/snoop machinery exactly when the access targets the
-/// line this CPU's *immediately previous* access touched, the line is still
-/// held Modified/Exclusive, and no bus transaction has intervened (checked
-/// through the line's coherence epoch). The filter is re-armed or cleared by
-/// every reference-path access, so a match certifies "nothing observable
-/// changed since last time" — see DESIGN.md §5c for the full invariant.
-#[derive(Debug, Clone, Copy)]
-struct MruFilter {
-    line: u64,
-    /// Epoch of `line`'s bucket at arm time; any later bus transaction on a
-    /// line sharing the bucket bumps it and kills the filter.
-    epoch: u64,
-    /// True when the line is Modified (stores/atomics may fast-hit),
-    /// false when Exclusive (only loads/prefetches may).
-    dirty: bool,
-    /// True when the arming access was a load hit, i.e. the line was bumped
-    /// to MRU in its L2/L3 sets. Stores/atomics/prefetches never touch LRU
-    /// on the reference path, so only load fast-hits require this.
-    lru_fresh: bool,
-    /// The line is L2-resident (FP loads hit at L2 latency only then).
-    in_l2: bool,
-    /// Which L1-granularity sub-lines are L1D-resident (integer loads hit
-    /// at L1 latency only for set bits).
-    l1_mask: u8,
-    /// Arm time; accesses with `now < armed_at` (non-monotonic callers,
-    /// e.g. unit tests) always take the reference path.
-    armed_at: u64,
-}
-
-/// Hashed per-line coherence-epoch buckets. Aliasing two lines to one
-/// bucket can only *clear* filters spuriously (a pure performance loss,
-/// never a correctness one), so a small table suffices.
-const EPOCH_BUCKETS: usize = 1 << 12;
-
-/// Consecutive reference-path accesses a CPU tolerates before its MRU
-/// filter stops re-arming eagerly. Private streams re-hit the filter after
-/// a single arm (one miss per new line), so this stays tiny: a wider
-/// window only buys extra arm-time probes on traffic that keeps missing
-/// (measured as a net host-time loss on both the NPB fig5 grid and the
-/// DAXPY fig3 sweep).
-const REARM_EAGER: u32 = 2;
-
-/// Once backed off, how often (in reference-path accesses) arming is
-/// retried so a CPU whose access pattern turns private again recovers.
-const REARM_RETRY: u32 = 64;
-
 /// The machine-wide coherent memory system.
 #[derive(Debug)]
 pub struct MemSystem {
@@ -179,23 +132,6 @@ pub struct MemSystem {
     pages: PageMap,
     line_bytes: u64,
     l1_line_bytes: u64,
-    /// Per-CPU MRU filters (the private-hit fast path; `None` = disarmed).
-    filters: Vec<Option<MruFilter>>,
-    /// Per-CPU count of consecutive accesses answered by the reference path
-    /// (reset by every fast hit). Past [`REARM_EAGER`], re-arming backs off
-    /// to once every [`REARM_RETRY`] accesses: on coherence-heavy sharing
-    /// the filter almost never fires, and paying the arm-time MESI/L1/L2
-    /// probes on every access is a net host-time loss.
-    rearm_miss: Vec<u32>,
-    /// Hashed per-line epochs, bumped by every bus transaction.
-    line_epochs: Vec<u64>,
-    /// Per-line bitmask of hierarchies that *may* hold the line (a strict
-    /// superset of actual holders: bits are set on fill and cleared on
-    /// invalidation/L3 eviction). Empty when `num_cpus` exceeds the mask
-    /// width — every snoop then walks all CPUs, as before.
-    presence: Vec<u32>,
-    /// Host-side diagnostic: accesses answered by the MRU filter.
-    fast_hits: u64,
 }
 
 impl MemSystem {
@@ -203,12 +139,6 @@ impl MemSystem {
         let hierarchies = (0..cfg.num_cpus)
             .map(|_| PrivateHierarchy::new(cfg.l1d, cfg.l2, cfg.l3))
             .collect();
-        let line_bytes = cfg.coherence_line() as u64;
-        let presence_lines = if cfg.num_cpus <= 32 {
-            cfg.mem_bytes / line_bytes as usize
-        } else {
-            0
-        };
         MemSystem {
             hierarchies,
             node_buses: (0..cfg.num_nodes())
@@ -219,21 +149,17 @@ impl MemSystem {
             store_drain_tail: vec![0; cfg.num_cpus],
             snoop_stall: vec![0; cfg.num_cpus],
             pages: PageMap::new(cfg.mem_bytes, cfg.numa_page_bytes),
-            line_bytes,
+            line_bytes: cfg.coherence_line() as u64,
             l1_line_bytes: cfg.l1d.line as u64,
-            filters: vec![None; cfg.num_cpus],
-            rearm_miss: vec![0; cfg.num_cpus],
-            line_epochs: vec![0; EPOCH_BUCKETS],
-            presence: vec![0; presence_lines],
-            fast_hits: 0,
             cfg: cfg.clone(),
         }
     }
 
-    /// Accesses answered by the MRU-filter fast path (host diagnostic; not
-    /// a simulated event, so it is deliberately absent from [`CpuStats`]).
+    /// Always zero: every access takes the one full probe/snoop path.
+    /// Exists only for the benchmark's per-layer readout (`perfbench`
+    /// reports `memsys.fast_hits`).
     pub fn fast_hits(&self) -> u64 {
-        self.fast_hits
+        0
     }
 
     /// Coherence-line address of a byte address.
@@ -265,8 +191,8 @@ impl MemSystem {
     /// Snoop-victim stall cycles accrued but not yet delivered to a CPU
     /// (read-only). Snoop stalls only accrue while some core executes a
     /// memory access, so this is zero across any all-stalled window — the
-    /// invariant the stall-skip fast path relies on to jump cycles without
-    /// missing a delivery.
+    /// invariant stall skip relies on to jump cycles without missing a
+    /// delivery.
     pub fn snoop_stall_pending(&self, cpu: usize) -> u64 {
         self.snoop_stall[cpu]
     }
@@ -279,204 +205,8 @@ impl MemSystem {
 
     /// Perform one access; updates cache state, buses, MSHRs, store buffers,
     /// per-CPU stats and (for demand loads) the DEAR latch.
-    ///
-    /// With [`HostAccel::mem_fast_path`] on, repeated private hits are
-    /// answered by the per-CPU MRU filter without running the probe/snoop
-    /// machinery; every other access takes the reference path and re-arms
-    /// (or clears) the filter. Outcomes, stats, HPM effects and cache state
-    /// are bit-identical either way (`mem_fastpath_equivalence` suite).
     #[allow(clippy::too_many_arguments)]
     pub fn access(
-        &mut self,
-        stats: &mut [CpuStats],
-        hpm: &mut [Hpm],
-        cpu: usize,
-        now: u64,
-        pc: u32,
-        kind: AccessKind,
-        addr: u64,
-    ) -> AccessOutcome {
-        if self.cfg.host_accel.mem_fast_path {
-            if let Some(out) = self.access_fast(stats, cpu, now, kind, addr) {
-                self.fast_hits += 1;
-                self.rearm_miss[cpu] = 0;
-                return out;
-            }
-            let out = self.access_ref(stats, hpm, cpu, now, pc, kind, addr);
-            // Adaptive arming: eager while the filter earns fast hits, one
-            // periodic retry once it stops (host-side policy only — the
-            // filter never changes simulated state, so arming less often is
-            // unobservable).
-            let m = &mut self.rearm_miss[cpu];
-            *m = if *m >= REARM_EAGER + REARM_RETRY {
-                REARM_EAGER + 1
-            } else {
-                *m + 1
-            };
-            if *m <= REARM_EAGER || *m == REARM_EAGER + REARM_RETRY {
-                self.rearm_filter(cpu, now, kind, addr);
-            } else {
-                self.filters[cpu] = None;
-            }
-            out
-        } else {
-            self.access_ref(stats, hpm, cpu, now, pc, kind, addr)
-        }
-    }
-
-    /// The MRU-filter fast path. Fires only when `addr` targets the armed
-    /// line, the arm-time epoch still holds, and time has not gone
-    /// backwards; returns `None` to fall through to the reference path.
-    fn access_fast(
-        &mut self,
-        stats: &mut [CpuStats],
-        cpu: usize,
-        now: u64,
-        kind: AccessKind,
-        addr: u64,
-    ) -> Option<AccessOutcome> {
-        let f = self.filters[cpu]?;
-        let line = self.line_of(addr);
-        if f.line != line || now < f.armed_at || f.epoch != self.epoch_of(line) {
-            return None;
-        }
-        match kind {
-            // Line already M/E with no fill in flight: the reference path
-            // counts the issue and does nothing else.
-            AccessKind::Prefetch { .. } => {
-                stats[cpu].add(Event::LfetchIssued, 1);
-                Some(AccessOutcome {
-                    complete_at: now,
-                    stall_until: now,
-                })
-            }
-            AccessKind::Load { fp, bias: _ } => {
-                // Loads bump LRU on the reference path; only safe to skip
-                // when the line is already MRU (armed from a load hit).
-                // `bias` is irrelevant: the line is M/E, never Shared.
-                if !f.lru_fresh {
-                    return None;
-                }
-                let lat = if fp {
-                    // FP loads bypass L1 and hit in L2.
-                    if !f.in_l2 {
-                        return None;
-                    }
-                    self.cfg.l2.hit_latency
-                } else {
-                    let sub =
-                        addr / self.l1_line_bytes - line * (self.line_bytes / self.l1_line_bytes);
-                    if sub >= u8::BITS as u64 || f.l1_mask & (1 << sub) == 0 {
-                        // Sub-line not L1-resident: the reference path would
-                        // fill it (and count an L1D miss) — go there.
-                        return None;
-                    }
-                    self.cfg.l1d.hit_latency
-                };
-                Some(AccessOutcome {
-                    complete_at: now + lat,
-                    stall_until: now,
-                })
-            }
-            AccessKind::Store => {
-                // Only Modified lines: a store to Exclusive flips the state
-                // (silent E->M) on the reference path, which then re-arms
-                // the filter as dirty.
-                if !f.dirty {
-                    return None;
-                }
-                let (issue_at, stall_until) = self.stbuf_acquire(cpu, now);
-                // No in-flight fill of this line (arm invariant), so the
-                // drain starts as soon as the write port frees up.
-                let drain_done = issue_at.max(self.store_drain_tail[cpu]) + 1;
-                self.store_drain_tail[cpu] = drain_done;
-                self.store_bufs[cpu].push(drain_done);
-                Some(AccessOutcome {
-                    complete_at: drain_done,
-                    stall_until,
-                })
-            }
-            AccessKind::Atomic => {
-                if !f.dirty {
-                    return None;
-                }
-                Some(AccessOutcome {
-                    complete_at: now + self.cfg.l2.hit_latency + 1,
-                    stall_until: now,
-                })
-            }
-        }
-    }
-
-    /// Re-arm (or clear) a CPU's MRU filter after a reference-path access.
-    /// The filter may only arm when the line ended Modified/Exclusive in
-    /// this CPU's hierarchy with no fill of it in flight — misses always
-    /// leave an MSHR entry behind, so effectively only hits arm.
-    fn rearm_filter(&mut self, cpu: usize, now: u64, kind: AccessKind, addr: u64) {
-        self.filters[cpu] = None;
-        let line = self.line_of(addr);
-        let dirty = match self.hierarchies[cpu].state(line) {
-            Some(Mesi::Modified) => true,
-            Some(Mesi::Exclusive) => false,
-            _ => return,
-        };
-        if self.mshr_inflight(cpu, line, now).is_some() {
-            return;
-        }
-        let h = &self.hierarchies[cpu];
-        let ratio = h.l1_lines_per_coherence_line();
-        let mut l1_mask = 0u8;
-        for k in 0..ratio.min(u8::BITS as u64) {
-            if h.l1_resident(line * ratio + k) {
-                l1_mask |= 1 << k;
-            }
-        }
-        self.filters[cpu] = Some(MruFilter {
-            line,
-            epoch: self.epoch_of(line),
-            dirty,
-            lru_fresh: matches!(kind, AccessKind::Load { .. }),
-            in_l2: h.l2_resident(line),
-            l1_mask,
-            armed_at: now,
-        });
-    }
-
-    #[inline]
-    fn epoch_of(&self, line: u64) -> u64 {
-        self.line_epochs[line as usize & (EPOCH_BUCKETS - 1)]
-    }
-
-    /// Bitmask of *other* hierarchies that may hold `line` (superset), or
-    /// `None` when the presence vector does not cover it — the snoop loops
-    /// then walk every CPU, as the reference always did.
-    #[inline]
-    fn other_holders(&self, line: u64, cpu: usize) -> Option<u32> {
-        if !self.cfg.host_accel.mem_fast_path {
-            return None;
-        }
-        self.presence
-            .get(line as usize)
-            .map(|&mask| mask & !(1u32 << cpu))
-    }
-
-    #[inline]
-    fn presence_set(&mut self, line: u64, cpu: usize) {
-        if let Some(mask) = self.presence.get_mut(line as usize) {
-            *mask |= 1 << cpu;
-        }
-    }
-
-    #[inline]
-    fn presence_clear(&mut self, line: u64, cpu: usize) {
-        if let Some(mask) = self.presence.get_mut(line as usize) {
-            *mask &= !(1u32 << cpu);
-        }
-    }
-
-    /// The full (reference) access path.
-    #[allow(clippy::too_many_arguments)]
-    fn access_ref(
         &mut self,
         stats: &mut [CpuStats],
         hpm: &mut [Hpm],
@@ -681,20 +411,15 @@ impl MemSystem {
         into_l1: Option<u64>,
     ) {
         let effects = self.hierarchies[cpu].fill(line, state, into_l1);
-        self.presence_set(line, cpu);
         for e in effects {
             match e {
                 FillEffect::WritebackL3(victim) => {
                     stats[cpu].add(Event::L3Writeback, 1);
-                    self.presence_clear(victim, cpu);
                     let victim_addr = victim * self.line_bytes;
                     let _ = self.transaction(stats, cpu, now, TxnType::Writeback, victim_addr);
                 }
                 FillEffect::WritebackL2(_) => {
                     stats[cpu].add(Event::L2Writeback, 1);
-                }
-                FillEffect::EvictClean(victim) => {
-                    self.presence_clear(victim, cpu);
                 }
             }
         }
@@ -709,10 +434,6 @@ impl MemSystem {
         addr: u64,
     ) -> TxnResult {
         let line = self.line_of(addr);
-        // Every bus transaction may change some hierarchy's view of the
-        // line (downgrade, invalidation, flush), so it retires every MRU
-        // filter armed on the line's epoch bucket.
-        self.line_epochs[line as usize & (EPOCH_BUCKETS - 1)] += 1;
         let my_node = self.cfg.node_of_cpu(cpu);
         let home = self.pages.home_of(addr, my_node);
         let numa = matches!(self.cfg.topology, Topology::Numa { .. });
@@ -739,14 +460,10 @@ impl MemSystem {
                 from_memory: false,
             },
             TxnType::Rd => {
-                // The presence mask is a superset of actual holders, so
-                // restricting the snoop walk to set bits finds exactly the
-                // owners/sharers the full walk would.
-                let holders = self.other_holders(line, cpu);
                 let mut owner_m = None;
                 let mut clean_sharer = None;
                 for other in 0..self.cfg.num_cpus {
-                    if other == cpu || holders.is_some_and(|m| m & (1 << other) == 0) {
+                    if other == cpu {
                         continue;
                     }
                     match self.hierarchies[other].state(line) {
@@ -778,7 +495,7 @@ impl MemSystem {
                 } else if let Some(s) = clean_sharer {
                     // Clean snoop hit: sharers downgrade to S.
                     for other in 0..self.cfg.num_cpus {
-                        if other == cpu || holders.is_some_and(|m| m & (1 << other) == 0) {
+                        if other == cpu {
                             continue;
                         }
                         if self.hierarchies[other].state(line) == Some(Mesi::Exclusive) {
@@ -804,11 +521,10 @@ impl MemSystem {
                 }
             }
             TxnType::RdX => {
-                let holders = self.other_holders(line, cpu);
                 let mut owner_m = None;
                 let mut had_clean = false;
                 for other in 0..self.cfg.num_cpus {
-                    if other == cpu || holders.is_some_and(|m| m & (1 << other) == 0) {
+                    if other == cpu {
                         continue;
                     }
                     match self.hierarchies[other].state(line) {
@@ -819,11 +535,10 @@ impl MemSystem {
                 }
                 // All other copies are invalidated by a read-for-ownership.
                 for other in 0..self.cfg.num_cpus {
-                    if other == cpu || holders.is_some_and(|m| m & (1 << other) == 0) {
+                    if other == cpu {
                         continue;
                     }
                     let _ = self.hierarchies[other].invalidate(line);
-                    self.presence_clear(line, other);
                 }
                 if let Some(o) = owner_m {
                     self.snoop_stall[o] += self.cfg.snoop_stall;
@@ -858,13 +573,11 @@ impl MemSystem {
                 }
             }
             TxnType::Upgrade => {
-                let holders = self.other_holders(line, cpu);
                 for other in 0..self.cfg.num_cpus {
-                    if other == cpu || holders.is_some_and(|m| m & (1 << other) == 0) {
+                    if other == cpu {
                         continue;
                     }
                     let _ = self.hierarchies[other].invalidate(line);
-                    self.presence_clear(line, other);
                 }
                 stats[cpu].add(Event::BusUpgrade, 1);
                 let extra = if numa && home != my_node {
@@ -953,7 +666,6 @@ impl MemSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::HostAccel;
 
     fn setup(cfg: &MachineConfig) -> (MemSystem, Vec<CpuStats>, Vec<Hpm>) {
         let ms = MemSystem::new(cfg);
@@ -1331,49 +1043,22 @@ mod tests {
         assert!(out.complete_at - 1000 < cfg.mem_latency);
     }
 
-    // ---- MRU-filter fast path ----
-
-    /// Repeated private hits must actually be answered by the filter (the
-    /// equivalence suite proves they are answered *identically*; this
-    /// proves they are answered *cheaply*).
+    /// Back-to-back stores to a line this CPU holds Modified drain in order
+    /// through the single L2 write port, one cycle apart.
     #[test]
-    fn mru_filter_answers_repeated_private_hits() {
-        let cfg = MachineConfig::smp4().with_host_accel(HostAccel::fast());
-        let (mut ms, mut st, mut hp) = setup(&cfg);
-        // Warm the line: miss, then a first hit that arms the filter.
-        ms.access(&mut st, &mut hp, 0, 0, 1, LOAD_FP, 0x1000);
-        ms.access(&mut st, &mut hp, 0, 1000, 1, LOAD_FP, 0x1000);
-        assert_eq!(ms.fast_hits(), 0, "arming access takes the full path");
-        for k in 0..100u64 {
-            let out = ms.access(&mut st, &mut hp, 0, 2000 + k, 1, LOAD_FP, 0x1000);
-            assert_eq!(out.complete_at, 2000 + k + cfg.l2.hit_latency);
-        }
-        assert_eq!(ms.fast_hits(), 100, "every repeat rides the filter");
-        // Another CPU's transaction on the line kills the filter.
-        ms.access(&mut st, &mut hp, 1, 5000, 1, LOAD_FP, 0x1000);
-        ms.access(&mut st, &mut hp, 0, 6000, 1, LOAD_FP, 0x1000);
-        assert_eq!(ms.fast_hits(), 100, "epoch bump forces the full path");
-    }
-
-    /// With the fast path disabled the filter must never fire.
-    #[test]
-    fn disabled_fast_path_never_fires() {
-        let cfg =
-            MachineConfig::smp4().with_host_accel(HostAccel::fast().with_mem_fast_path(false));
+    fn repeated_private_stores_drain_one_cycle_apart() {
+        let cfg = MachineConfig::smp4();
         let (mut ms, mut st, mut hp) = setup(&cfg);
         ms.access(&mut st, &mut hp, 0, 0, 1, AccessKind::Store, 0x1000);
-        for k in 0..50u64 {
-            ms.access(
-                &mut st,
-                &mut hp,
-                0,
-                1000 + k * 2,
-                1,
-                AccessKind::Store,
-                0x1000,
-            );
+        let completes: Vec<u64> = (0..20u64)
+            .map(|k| {
+                ms.access(&mut st, &mut hp, 0, 1000 + k, 1, AccessKind::Store, 0x1000)
+                    .complete_at
+            })
+            .collect();
+        for w in completes.windows(2) {
+            assert_eq!(w[1], w[0] + 1);
         }
-        assert_eq!(ms.fast_hits(), 0);
     }
 
     #[test]

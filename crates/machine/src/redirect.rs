@@ -12,20 +12,9 @@
 //! state mapping total and type-correct.
 //!
 //! The table is consulted from `Core::take_branch`, the single commit point
-//! shared by the per-cycle reference interpreter and every block-dispatch
-//! engine, so all execution paths migrate identically. The empty-table fast
-//! path is one length check; armed windows are short (a few quanta until
-//! every thread converges), and entries are per-loop-body small, so a
-//! linear scan beats any index.
-//!
-//! **Lockstep soundness**: the multicore safe-horizon engine bounds each
-//! stretch with *static* branch targets (`BlockCache::dist_from_exit`). A
-//! redirect changes the actual target, so the static memory-distance bound
-//! no longer under-approximates the real path and the horizon would be
-//! unsound. `Machine::run` therefore falls back to interleaved
-//! (reference-faithful) block stepping while any entry is armed; the solo
-//! and interleaved engines re-resolve blocks from the committed PC every
-//! cycle and need no gating.
+//! of every taken branch. The empty-table fast path is one length check;
+//! armed windows are short (a few quanta until every thread converges), and
+//! entries are per-loop-body small, so a linear scan beats any index.
 
 use cobra_isa::CodeAddr;
 

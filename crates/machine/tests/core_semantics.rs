@@ -4,7 +4,7 @@
 
 use cobra_isa::insn::{CmpRel, Insn, Op, Unit};
 use cobra_isa::Assembler;
-use cobra_machine::{Machine, MachineConfig};
+use cobra_machine::{CoreStatus, Machine, MachineConfig};
 
 /// Assemble, run on CPU 0, return the machine (halted).
 fn run(build: impl FnOnce(&mut Assembler)) -> Machine {
@@ -577,4 +577,198 @@ fn ld8_bias_acquires_exclusive_ownership() {
     assert_eq!(m.core(0).gr(10), 99);
     use cobra_machine::Mesi;
     assert_eq!(m.shared.memsys.peek_state(0, 0x7000), Some(Mesi::Exclusive));
+}
+
+// ---- live code changes and faults in the middle of a run ----
+
+/// A counted loop whose first body slot is patched between run segments
+/// and then reverted: each iteration executes whatever the slot holds when
+/// it is fetched, so the extra increments come in whole iterations.
+#[test]
+fn patch_and_revert_mid_run_take_effect_at_the_next_fetch() {
+    const ITERS: i64 = 1000;
+    let mut a = Assembler::new();
+    a.movi(5, ITERS - 1);
+    a.mov_to_lc(5);
+    let top = a.new_label();
+    a.bind(top);
+    let body = a.addi(6, 6, 1);
+    a.addi(7, 7, 1);
+    a.br_cloop(top);
+    a.hlt();
+    let mut m = Machine::new(MachineConfig::smp4(), a.finish());
+    m.spawn_thread(0, 0, &[]);
+    assert!(!m.run(200).halted);
+    let old = m
+        .patch(
+            body,
+            &Insn::new(Op::AddI {
+                dest: 6,
+                src: 6,
+                imm: 5,
+            }),
+        )
+        .expect("body slot is patchable");
+    assert!(!m.run(200).halted);
+    m.patch_word(body, old).expect("revert patch is valid");
+    assert!(m.run(1_000_000).halted);
+    let (r6, r7) = (m.core(0).gr(6), m.core(0).gr(7));
+    assert_eq!(r7, ITERS, "the unpatched counter sees every iteration");
+    assert_eq!((r6 - r7) % 4, 0, "patched iterations add 4 each");
+    let patched = (r6 - r7) / 4;
+    assert!(
+        patched > 0 && patched < ITERS,
+        "{patched} iterations ran patched"
+    );
+}
+
+/// An optimized trace appended and branched to mid-run executes in place of
+/// the original body for every remaining iteration.
+#[test]
+fn trace_deployed_mid_run_takes_over_the_loop() {
+    let mut a = Assembler::new();
+    a.movi(5, 40);
+    a.mov_to_lc(5);
+    let top = a.new_label();
+    a.bind(top);
+    let body = a.addi(6, 6, 1);
+    a.br_cloop(top);
+    a.hlt();
+    let mut m = Machine::new(MachineConfig::smp4(), a.finish());
+    m.spawn_thread(0, 0, &[]);
+    assert!(!m.run(30).halted);
+    let trace = m.append_trace(&[
+        Insn::new(Op::AddI {
+            dest: 6,
+            src: 6,
+            imm: 1,
+        }),
+        Insn::new(Op::AddI {
+            dest: 7,
+            src: 7,
+            imm: 1,
+        }),
+        Insn::new(Op::BrCond { target: body + 1 }),
+    ]);
+    m.patch(body, &Insn::new(Op::BrCond { target: trace }))
+        .expect("branch patch is valid");
+    let r = m.run(100_000);
+    assert!(r.halted && !r.faulted);
+    assert_eq!(m.core(0).gr(6), 41, "every iteration counted once");
+    let in_trace = m.core(0).gr(7);
+    assert!(
+        in_trace > 0 && in_trace < 41,
+        "{in_trace} iterations in the trace"
+    );
+}
+
+/// An armed on-stack-replacement edge commits at the taken back edge: the
+/// thread leaves the old loop version at its next branch to the loop head,
+/// carries its registers (and loop count) into the new version, and the BTB
+/// records the redirected target.
+#[test]
+fn osr_redirect_commits_at_the_taken_branch() {
+    const ITERS: i64 = 500;
+    let mut a = Assembler::new();
+    a.movi(5, ITERS - 1);
+    a.mov_to_lc(5);
+    let old_top = a.new_label();
+    a.bind(old_top);
+    let old_head = a.addi(6, 6, 1);
+    let old_br = a.br_cloop(old_top);
+    a.hlt();
+    let new_top = a.new_label();
+    a.bind(new_top);
+    let new_head = a.addi(6, 6, 1);
+    a.addi(7, 7, 1); // counts iterations run in the new version
+    a.br_cloop(new_top);
+    a.hlt();
+    let mut m = Machine::new(MachineConfig::smp4(), a.finish());
+    m.spawn_thread(0, 0, &[]);
+    assert!(!m.run(100).halted);
+    assert!(m.any_pc_in(old_head, old_br));
+    m.arm_redirect(1, &[(old_head, new_head)]);
+    while m.any_pc_in(old_head, old_br) {
+        m.step();
+    }
+    assert_eq!(
+        m.core(0).pc,
+        new_head,
+        "the thread migrated to the new head"
+    );
+    let btb = m.shared.hpm[0].btb_snapshot();
+    let last = btb.last().expect("the redirected branch is recorded");
+    assert_eq!((last.src, last.target), (old_br, new_head));
+    assert!(m.run(1_000_000).halted);
+    let (r6, r7) = (m.core(0).gr(6), m.core(0).gr(7));
+    assert_eq!(r6, ITERS, "no iteration lost or repeated across the switch");
+    assert!(r7 > 0 && r7 < ITERS, "{r7} iterations in the new version");
+    assert_eq!(m.disarm_redirect(1), 1, "exactly one branch was redirected");
+}
+
+/// A wild load in the middle of a straight-line block: everything before
+/// it retires, nothing after it executes.
+#[test]
+fn load_fault_mid_block_stops_at_the_faulting_slot() {
+    let mut a = Assembler::new();
+    a.movi(6, 10);
+    a.addi(6, 6, 1);
+    a.addi(6, 6, 2);
+    a.movi(4, -8);
+    let ld = a.ld8(0, 7, 4, 0);
+    a.movi(31, 1);
+    a.hlt();
+    let mut m = Machine::new(MachineConfig::smp4(), a.finish());
+    m.spawn_thread(0, 0, &[]);
+    let r = m.run(100_000);
+    assert!(r.halted && r.faulted);
+    let c = m.core(0);
+    assert_eq!(c.status, CoreStatus::Faulted);
+    let fault = c.fault.expect("fault recorded");
+    assert_eq!((fault.pc, fault.addr), (ld, (-8i64) as u64));
+    assert_eq!(c.pc, ld, "the PC stays on the faulting slot");
+    assert_eq!(c.gr(6), 13, "the preceding arithmetic retired");
+    assert_eq!(c.gr(31), 0, "nothing executes past the fault");
+}
+
+/// Two cores run the same loop and then load through their own pointer; the
+/// one with a wild pointer faults mid-run while the other finishes cleanly.
+#[test]
+fn fault_after_a_shared_loop_leaves_the_other_core_running() {
+    let mut a = Assembler::new();
+    a.emit(Insn::new(Op::Add {
+        dest: 4,
+        r2: 8,
+        r3: 0,
+    }));
+    a.movi(5, 64);
+    a.mov_to_lc(5);
+    let top = a.new_label();
+    a.bind(top);
+    for k in 0..8 {
+        a.addi(6, 6, 1);
+        a.addi(7, 7, 2 + k);
+    }
+    a.br_cloop(top);
+    a.ld8(0, 9, 4, 0);
+    a.movi(31, 1);
+    a.hlt();
+    let mut m = Machine::new(MachineConfig::smp4(), a.finish());
+    m.spawn_thread(0, 0, &[-8]);
+    m.spawn_thread(1, 0, &[0x2000]);
+    let r = m.run(100_000);
+    assert!(r.halted && r.faulted);
+    assert_eq!(m.core(0).status, CoreStatus::Faulted);
+    assert_eq!(
+        m.core(0).fault.expect("fault recorded").addr,
+        (-8i64) as u64
+    );
+    assert_eq!(m.core(0).gr(31), 0, "nothing executes past the fault");
+    assert_eq!(
+        m.core(0).gr(6),
+        65 * 8,
+        "the loop completed before the fault"
+    );
+    assert_eq!(m.core(1).status, CoreStatus::Halted);
+    assert_eq!(m.core(1).gr(31), 1, "the healthy core finished");
 }

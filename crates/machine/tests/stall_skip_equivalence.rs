@@ -1,12 +1,13 @@
-//! Bit-identical equivalence of the stall-skip fast path against the
-//! per-cycle reference loop, plus guest-memory fault hardening.
+//! Bit-identical equivalence of `Machine::run` (which skips all-stalled
+//! windows in bulk) against a plain `Machine::step` loop, plus guest-memory
+//! fault hardening.
 //!
-//! The fast path (`MachineConfig::stall_skip`, default on) may only change
-//! how fast the simulator runs, never what it computes: for any program,
+//! Stall skip may only change how fast the simulator runs, never what it
+//! computes: for any program,
 //! thread placement, and HPM sampling configuration, the final cycle count,
 //! every per-CPU event counter, the exact stream of sampling overflow
 //! captures (cycles, PCs, BTB/DEAR snapshots), data memory, and
-//! architectural register state must match the reference loop exactly.
+//! architectural register state must match the per-cycle loop exactly.
 //! The property test below drives both paths over random multithreaded
 //! programs — including sampling on events that advance during stalls
 //! (`CPU_CYCLES`, `BE_STALL_CYCLES`), which is the hard case: an overflow
@@ -15,7 +16,7 @@
 use cobra_isa::insn::{Insn, Op};
 use cobra_isa::Assembler;
 use cobra_machine::{
-    CoreStatus, CpuStats, Event, HostAccel, Machine, MachineConfig, OverflowCapture, RunResult,
+    CoreStatus, CpuStats, Event, Machine, MachineConfig, Mesi, OverflowCapture, RunResult,
     SamplingConfig,
 };
 use proptest::prelude::*;
@@ -58,6 +59,21 @@ fn emit_body_op(a: &mut Assembler, sel: u8) {
     }
 }
 
+/// The per-cycle reference: `Machine::step` until every bound thread
+/// terminates or `budget` cycles elapse, reporting what `Machine::run`
+/// would.
+fn step_loop(m: &mut Machine, budget: u64) -> RunResult {
+    let start = m.cycle();
+    while !m.all_halted() && m.cycle() - start < budget {
+        m.step();
+    }
+    RunResult {
+        cycles: m.cycle() - start,
+        halted: m.all_halted(),
+        faulted: m.any_faulted(),
+    }
+}
+
 /// Everything observable about a finished run. Two runs are "the same
 /// simulation" iff these snapshots are equal.
 #[derive(Debug, PartialEq)]
@@ -68,11 +84,13 @@ struct Snapshot {
     overflows: Vec<Vec<OverflowCapture>>,
     mem_words: Vec<u64>,
     regs: Vec<(u32, i64, i64, u64, u64)>, // (pc, r6, r7, f6 bits, f8 bits)
+    mesi: Vec<Vec<Option<Mesi>>>,         // [cpu][line] over the touched range
 }
 
 #[allow(clippy::too_many_arguments)]
 fn run_one(
-    stall_skip: bool,
+    use_run: bool,
+    altix: bool,
     threads: usize,
     share_base: bool,
     event_sel: u8,
@@ -100,7 +118,12 @@ fn run_one(
         a.hlt();
         a.finish()
     };
-    let cfg = MachineConfig::smp4().with_host_accel(HostAccel::fast().with_stall_skip(stall_skip));
+    let cfg = if altix {
+        MachineConfig::altix8()
+    } else {
+        MachineConfig::smp4()
+    };
+    let threads = threads.min(cfg.num_cpus);
     let mut m = Machine::new(cfg, image);
     let event = match event_sel % 3 {
         0 => Event::CpuCycles,
@@ -117,7 +140,11 @@ fn run_one(
         };
         m.spawn_thread(cpu, 0, &[base as i64]);
     }
-    let result = m.run(budget);
+    let result = if use_run {
+        m.run(budget)
+    } else {
+        step_loop(&mut m, budget)
+    };
     Snapshot {
         result,
         final_cycle: m.cycle(),
@@ -135,44 +162,55 @@ fn run_one(
                 (c.pc, c.gr(6), c.gr(7), c.fr(6).to_bits(), c.fr(8).to_bits())
             })
             .collect(),
+        mesi: (0..m.num_cpus())
+            .map(|cpu| {
+                (0..0x12000u64)
+                    .step_by(128)
+                    .map(|a| m.shared.memsys.peek_state(cpu, a))
+                    .collect()
+            })
+            .collect(),
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The fast path and the per-cycle reference produce bit-identical
-    /// simulations: cycles, counters, overflow capture streams, memory,
-    /// and registers.
+    /// `Machine::run` and the per-cycle step loop produce bit-identical
+    /// simulations on both evaluation machines: cycles, counters, overflow
+    /// capture streams, memory, registers, and the MESI state of every
+    /// touched line in every CPU's hierarchy.
     #[test]
-    fn fast_path_matches_reference(
-        threads in 1usize..=4,
+    fn run_matches_step_loop(
+        altix in any::<bool>(),
+        threads in 1usize..=8,
         share_base in any::<bool>(),
         event_sel in 0u8..3,
         period in 50u64..1500,
         body in prop::collection::vec(0u8..8, 1..8),
         iters in 1u64..48,
     ) {
-        let reference = run_one(false, threads, share_base, event_sel, period, &body, iters, 150_000);
-        let fast = run_one(true, threads, share_base, event_sel, period, &body, iters, 150_000);
-        prop_assert_eq!(reference, fast);
+        let stepped =
+            run_one(false, altix, threads, share_base, event_sel, period, &body, iters, 150_000);
+        let run = run_one(true, altix, threads, share_base, event_sel, period, &body, iters, 150_000);
+        prop_assert_eq!(stepped, run);
     }
 
     /// Same property when the budget cuts the run off mid-flight (possibly
     /// mid-stall): the cutoff cycle must also be identical.
     #[test]
-    fn fast_path_matches_reference_at_cutoff(
+    fn run_matches_step_loop_at_cutoff(
         body in prop::collection::vec(0u8..8, 1..6),
         budget in 100u64..3000,
     ) {
-        let reference = run_one(false, 2, true, 0, 100, &body, 400, budget);
-        let fast = run_one(true, 2, true, 0, 100, &body, 400, budget);
-        prop_assert_eq!(reference, fast);
+        let stepped = run_one(false, false, 2, true, 0, 100, &body, 400, budget);
+        let run = run_one(true, false, 2, true, 0, 100, &body, 400, budget);
+        prop_assert_eq!(stepped, run);
     }
 }
 
 /// An all-idle machine (no thread bound) must burn the whole budget on both
-/// paths — and the fast path must do it without spinning per cycle.
+/// paths — and `run` must do it without spinning per cycle.
 #[test]
 fn idle_machine_burns_budget_identically() {
     let image = {
@@ -181,12 +219,9 @@ fn idle_machine_burns_budget_identically() {
         a.finish()
     };
     let budget = 5_000_000u64;
-    let mut slow = Machine::new(
-        MachineConfig::smp4().with_host_accel(HostAccel::fast().with_stall_skip(false)),
-        image.clone(),
-    );
+    let mut slow = Machine::new(MachineConfig::smp4(), image.clone());
     let mut fast = Machine::new(MachineConfig::smp4(), image);
-    let rs = slow.run(budget);
+    let rs = step_loop(&mut slow, budget);
     let rf = fast.run(budget);
     assert_eq!(rs, rf);
     assert_eq!(slow.cycle(), fast.cycle());

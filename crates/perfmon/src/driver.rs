@@ -281,7 +281,7 @@ mod tests {
     #[test]
     fn detach_stops_sampling() {
         let (mut m, mut drv) = sampled_machine(2_000, 1, 200);
-        m.run_quantum(2_000);
+        m.run(2_000);
         drv.poll(&mut m);
         let first = drv.drain(0).len();
         assert!(first > 0);

