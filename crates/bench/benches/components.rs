@@ -283,7 +283,11 @@ fn bench_verify_overhead(c: &mut Criterion) {
         })
         .collect();
     assert!(!plans.is_empty(), "fixture tick must emit plans");
-    assert_eq!(opt.verify_rejects(), 0, "fixture plans must verify");
+    assert_eq!(
+        opt.telemetry().report().verify_rejects,
+        0,
+        "fixture plans must verify"
+    );
 
     fn min_ns(reps: usize, mut f: impl FnMut()) -> u64 {
         (0..reps)

@@ -45,7 +45,7 @@ use crate::optimizer::{DeployMode, Optimizer, OptimizerConfig, PlanAction, Strat
 use crate::persist::{seed_from_snapshot, snapshot_from_final};
 use crate::phase::{PhaseConfig, PhaseDetector};
 use crate::profile::LatencyBands;
-use crate::report::{AppliedPlan, CobraReport, RevertedPlan};
+use crate::report::CobraReport;
 use crate::telemetry::{
     CpuCounterSnapshot, TelemetryEmitter, TelemetryEvent, TelemetryHub, TelemetrySink,
     DEFAULT_RING_CAPACITY,
@@ -224,17 +224,18 @@ impl CobraBuilder {
         let mut driver = PerfmonDriver::new(machine.num_cpus(), cfg.perfmon);
         driver.attach(machine);
 
+        // The emitter folds every event into the run's report; the hub (and
+        // its ring) exists only when a sink is configured.
         let hub = sink.map(|s| TelemetryHub::new(s, ring_capacity));
-        let emitter = hub.as_ref().map(|h| h.emitter());
+        let emitter = hub
+            .as_ref()
+            .map_or_else(TelemetryEmitter::default, TelemetryHub::emitter);
 
         let bands = LatencyBands::from_machine(&machine.shared.cfg);
         let mut optimizer = Optimizer::new(cfg.optimizer, machine.shared.code.image().clone());
-        if let Some(e) = &emitter {
-            optimizer.set_telemetry(e.clone());
-        }
+        optimizer.set_telemetry(emitter.clone());
         let phases = PhaseDetector::new(cfg.phase);
 
-        let mut report = CobraReport::default();
         // Fleet seed first: the aggregation server folds every peer's
         // history, so it outranks this process's local store. The pristine
         // main words are captured now — before any deployment patches the
@@ -252,80 +253,63 @@ impl CobraBuilder {
             match FleetClient::connect(&ctx.addr).and_then(|mut c| c.fetch_seed(&ctx.key)) {
                 Ok(found) => fleet_seed = found,
                 Err(detail) => {
-                    report.fleet_errors += 1;
-                    if let Some(e) = &emitter {
-                        e.emit(TelemetryEvent::FleetError {
-                            tick: 0,
-                            cycle: machine.shared.cycle,
-                            stage: "fetch".into(),
-                            detail,
-                        });
-                    }
+                    emitter.emit(TelemetryEvent::FleetError {
+                        tick: 0,
+                        cycle: machine.shared.cycle,
+                        stage: "fetch".into(),
+                        detail,
+                    });
                 }
             }
         }
         // Warm start: load a matching snapshot before the optimization
         // thread spawns, so seeds are in place for the very first tick.
+        // Damaged records the load skipped ride on whichever attach event
+        // reports the load: the rejection, the warm start, or the fleet
+        // seed that outranked it.
+        let mut store_skipped_under_fleet = 0;
         let store_ctx = store.map(|dir| {
             let store = Store::new(dir);
             let key = StoreKey::for_run(machine.shared.code.image(), &machine.shared.cfg);
             let lr = store.load(&key);
-            report.store_skipped_records = lr.skipped_records;
             if let Some(err) = &lr.error {
-                report.store_errors += 1;
-                if let Some(e) = &emitter {
-                    e.emit(TelemetryEvent::StoreError {
-                        tick: 0,
-                        cycle: machine.shared.cycle,
-                        detail: err.clone(),
-                    });
-                }
-            }
-            // A fleet seed outranks the local snapshot (it already folds
-            // this process's own uploads); the local snapshot still merges
-            // into the save at detach.
-            if fleet_seed.is_none() {
-                if let Some(snap) = &lr.snapshot {
-                    let seed = seed_from_snapshot(snap);
-                    report.warm_started = true;
-                    report.warm_seeded_decisions = seed.decisions.len();
-                    report.warm_seeded_blacklist = seed.blacklist.len();
-                    if let Some(e) = &emitter {
-                        e.emit(TelemetryEvent::WarmStart {
-                            tick: 0,
-                            cycle: machine.shared.cycle,
-                            seeded_decisions: seed.decisions.len(),
-                            seeded_blacklist: seed.blacklist.len(),
-                            skipped_records: lr.skipped_records,
-                        });
-                    }
-                    optimizer.warm_start(seed);
-                }
+                emitter.emit(TelemetryEvent::StoreError {
+                    tick: 0,
+                    cycle: machine.shared.cycle,
+                    detail: err.clone(),
+                    skipped_records: lr.skipped_records,
+                });
+            } else if fleet_seed.is_some() {
+                // A fleet seed outranks the local snapshot (it already
+                // folds this process's own uploads); the local snapshot
+                // still merges into the save at detach.
+                store_skipped_under_fleet = lr.skipped_records;
+            } else if let Some(snap) = &lr.snapshot {
+                let seed = seed_from_snapshot(snap);
+                emitter.emit(TelemetryEvent::WarmStart {
+                    tick: 0,
+                    cycle: machine.shared.cycle,
+                    seeded_decisions: seed.decisions.len(),
+                    seeded_blacklist: seed.blacklist.len(),
+                    skipped_records: lr.skipped_records,
+                });
+                optimizer.warm_start(seed);
             }
             (store, key, lr.snapshot)
         });
         if let Some(snap) = &fleet_seed {
             let seed = seed_from_snapshot(snap);
-            report.fleet_seeds += 1;
-            report.warm_started = true;
-            report.warm_seeded_decisions = seed.decisions.len();
-            report.warm_seeded_blacklist = seed.blacklist.len();
-            if let Some(e) = &emitter {
-                e.emit(TelemetryEvent::FleetSeed {
-                    tick: 0,
-                    cycle: machine.shared.cycle,
-                    seeded_decisions: seed.decisions.len(),
-                    seeded_winners: seed.winners.len(),
-                    seeded_blacklist: seed.blacklist.len(),
-                    runs: snap.runs,
-                });
-            }
+            emitter.emit(TelemetryEvent::FleetSeed {
+                tick: 0,
+                cycle: machine.shared.cycle,
+                seeded_decisions: seed.decisions.len(),
+                seeded_winners: seed.winners.len(),
+                seeded_blacklist: seed.blacklist.len(),
+                runs: snap.runs,
+                skipped_records: store_skipped_under_fleet,
+            });
             optimizer.warm_start(seed);
         }
-        // Warm seeds are re-verified against the live image inside
-        // `warm_start`; surface any attach-time rejections even if the run
-        // never reaches a tick (ticks overwrite this with the running total).
-        report.verify_rejects = optimizer.verify_rejects();
 
         let (to_opt, opt_rx) = unbounded();
         let (reply_tx, replies) = unbounded();
@@ -347,7 +331,8 @@ impl CobraBuilder {
             replies,
             opt_join: Some(opt_join),
             tick: 0,
-            report,
+            forks: 0,
+            overhead_cycles: 0,
             hub,
             emitter,
             store_ctx,
@@ -360,7 +345,7 @@ impl CobraBuilder {
 
 struct MonitorHandle {
     tx: Sender<ToMonitor>,
-    join: std::thread::JoinHandle<crate::monitor::MonitorStats>,
+    join: std::thread::JoinHandle<()>,
 }
 
 /// Fleet-server coordinates captured at attach: the snapshot key, the
@@ -398,9 +383,14 @@ pub struct Cobra {
     replies: Receiver<TickReply>,
     opt_join: Option<std::thread::JoinHandle<crate::monitor::OptFinal>>,
     tick: u64,
-    report: CobraReport,
+    /// Parallel-region forks observed (reported at detach).
+    forks: u64,
+    /// Helper-thread cycles charged to the machine (reported at detach).
+    overhead_cycles: u64,
+    /// The ring export, when a sink is configured.
     hub: Option<TelemetryHub>,
-    emitter: Option<TelemetryEmitter>,
+    /// Folds every event into the run's report (and feeds the ring).
+    emitter: TelemetryEmitter,
     /// Store handle, snapshot key, and the prior snapshot (merged into the
     /// one saved at detach) when persistence is configured.
     store_ctx: Option<(Store, StoreKey, Option<Snapshot>)>,
@@ -420,12 +410,6 @@ impl Cobra {
         CobraBuilder::default()
     }
 
-    fn emit(&self, event: TelemetryEvent) {
-        if let Some(e) = &self.emitter {
-            e.emit(event);
-        }
-    }
-
     fn ensure_monitor(&mut self, cpu: usize) {
         if self.monitors[cpu].is_some() {
             return;
@@ -441,7 +425,6 @@ impl Cobra {
             // Invariant: spawn only fails on host resource exhaustion.
             .expect("spawn monitoring thread");
         self.monitors[cpu] = Some(MonitorHandle { tx, join });
-        self.report.monitors_spawned += 1;
     }
 
     fn apply_action(&mut self, machine: &mut Machine, action: PlanAction) {
@@ -469,8 +452,7 @@ impl Cobra {
                         ) {
                             Ok(()) => osr_map = Some(map),
                             Err(e) => {
-                                self.report.osr_rejects += 1;
-                                self.emit(TelemetryEvent::OsrRejected {
+                                self.emitter.emit(TelemetryEvent::OsrRejected {
                                     tick: self.tick,
                                     cycle: machine.shared.cycle,
                                     plan_id: plan.id,
@@ -510,8 +492,7 @@ impl Cobra {
                             // text: the head redirect was rolled back, so
                             // nothing can reach it, and removing it would
                             // desync the optimizer's layout.
-                            self.report.deploy_failures += 1;
-                            self.emit(TelemetryEvent::DeployFailed {
+                            self.emitter.emit(TelemetryEvent::DeployFailed {
                                 tick: self.tick,
                                 cycle: machine.shared.cycle,
                                 plan_id: plan.id,
@@ -525,7 +506,7 @@ impl Cobra {
                         }
                     }
                 }
-                self.emit(TelemetryEvent::Deploy {
+                self.emitter.emit(TelemetryEvent::Deploy {
                     tick: self.tick,
                     cycle: machine.shared.cycle,
                     plan_id: plan.id,
@@ -533,15 +514,7 @@ impl Cobra {
                     loop_head: plan.loop_head,
                     words_patched: plan.writes.len(),
                     trace_entry,
-                });
-                self.report.applied.push(AppliedPlan {
-                    plan_id: plan.id,
-                    kind: plan.kind,
-                    loop_head: plan.loop_head,
                     description: plan.description,
-                    tick: self.tick,
-                    words_patched: plan.writes.len(),
-                    trace_entry,
                     candidate: plan.candidate,
                 });
                 // The deployment landed whole: watch the original body
@@ -576,8 +549,7 @@ impl Cobra {
                     match machine.patch_word(addr, old_word) {
                         Ok(_) => restored += 1,
                         Err(e) => {
-                            self.report.revert_failures += 1;
-                            self.emit(TelemetryEvent::RevertFailed {
+                            self.emitter.emit(TelemetryEvent::RevertFailed {
                                 tick: self.tick,
                                 cycle: machine.shared.cycle,
                                 plan_id,
@@ -585,30 +557,19 @@ impl Cobra {
                                 addr,
                                 words_restored: restored,
                                 detail: e.to_string(),
+                                reason,
+                                words_total: writes.len(),
                             });
                             let _ = self.to_opt.send(ToOpt::LoopPoisoned { loop_head });
-                            self.report.reverted.push(RevertedPlan {
-                                plan_id,
-                                reason: format!(
-                                    "{reason} [revert failed at {addr} after {restored}/{} words: {e}]",
-                                    writes.len()
-                                ),
-                                tick: self.tick,
-                            });
                             return;
                         }
                     }
                 }
-                self.emit(TelemetryEvent::Revert {
+                self.emitter.emit(TelemetryEvent::Revert {
                     tick: self.tick,
                     cycle: machine.shared.cycle,
                     plan_id,
-                    reason: reason.clone(),
-                });
-                self.report.reverted.push(RevertedPlan {
-                    plan_id,
                     reason,
-                    tick: self.tick,
                 });
                 // The original words are back, but threads inside the trace
                 // clone would run the stale version until natural loop
@@ -648,10 +609,8 @@ impl Cobra {
     fn finish_osr_watch(&mut self, machine: &mut Machine, w: OsrWatch) {
         let migrations = machine.disarm_redirect(w.plan_id);
         let elapsed = self.tick.saturating_sub(w.armed_tick);
-        self.report.ticks_to_all_optimized += elapsed;
         if w.reverse {
-            self.report.osr_reverse_migrations += migrations;
-            self.emit(TelemetryEvent::OsrRevert {
+            self.emitter.emit(TelemetryEvent::OsrRevert {
                 tick: self.tick,
                 cycle: machine.shared.cycle,
                 plan_id: w.plan_id,
@@ -659,8 +618,7 @@ impl Cobra {
                 ticks_since_revert: elapsed,
             });
         } else {
-            self.report.osr_migrations += migrations;
-            self.emit(TelemetryEvent::OsrMigrate {
+            self.emitter.emit(TelemetryEvent::OsrMigrate {
                 tick: self.tick,
                 cycle: machine.shared.cycle,
                 plan_id: w.plan_id,
@@ -684,7 +642,8 @@ impl Cobra {
         }
     }
 
-    /// Detach: stop sampling, shut down helper threads, return the report.
+    /// Detach: stop sampling, shut down helper threads, return the report
+    /// folded from the run's events.
     pub fn detach(mut self, machine: &mut Machine) -> CobraReport {
         // Transfers still draining when the run ends: close them at the
         // final tick so their un-migrated time is still accounted.
@@ -692,7 +651,8 @@ impl Cobra {
         for w in leftover {
             self.finish_osr_watch(machine, w);
         }
-        self.report.guest_faults = machine.total_stats().get(cobra_machine::Event::GuestFaults);
+        let guest_faults = machine.total_stats().get(cobra_machine::Event::GuestFaults);
+        let monitors_spawned = self.monitors.iter().flatten().count();
         self.driver.detach(machine);
         for m in self.monitors.iter_mut().flatten() {
             let _ = m.tx.send(ToMonitor::Shutdown);
@@ -715,8 +675,7 @@ impl Cobra {
                 };
                 match store.save(&merged) {
                     Ok(path) => {
-                        self.report.store_saved_records = merged.record_count() as u64;
-                        self.emit(TelemetryEvent::StoreSave {
+                        self.emitter.emit(TelemetryEvent::StoreSave {
                             tick: self.tick,
                             cycle: machine.shared.cycle,
                             records: merged.record_count(),
@@ -724,11 +683,11 @@ impl Cobra {
                         });
                     }
                     Err(err) => {
-                        self.report.store_errors += 1;
-                        self.emit(TelemetryEvent::StoreError {
+                        self.emitter.emit(TelemetryEvent::StoreError {
                             tick: self.tick,
                             cycle: machine.shared.cycle,
                             detail: err,
+                            skipped_records: 0,
                         });
                     }
                 }
@@ -742,8 +701,7 @@ impl Cobra {
                     .and_then(|mut c| c.upload(&fresh, Some(&ctx.image_words)))
                 {
                     Ok((runs_total, _)) => {
-                        self.report.fleet_uploads += 1;
-                        self.emit(TelemetryEvent::FleetUpload {
+                        self.emitter.emit(TelemetryEvent::FleetUpload {
                             tick: self.tick,
                             cycle: machine.shared.cycle,
                             records: fresh.record_count(),
@@ -751,8 +709,7 @@ impl Cobra {
                         });
                     }
                     Err(detail) => {
-                        self.report.fleet_errors += 1;
-                        self.emit(TelemetryEvent::FleetError {
+                        self.emitter.emit(TelemetryEvent::FleetError {
                             tick: self.tick,
                             cycle: machine.shared.cycle,
                             stage: "upload".into(),
@@ -762,22 +719,19 @@ impl Cobra {
                 }
             }
         }
+        self.emitter.emit(TelemetryEvent::Detach {
+            tick: self.tick,
+            cycle: machine.shared.cycle,
+            records_dropped: self.emitter.dropped(),
+            forks: self.forks,
+            monitors_spawned,
+            guest_faults,
+            overhead_cycles: self.overhead_cycles,
+        });
         if let Some(hub) = self.hub.take() {
-            self.emit(TelemetryEvent::Detach {
-                tick: self.tick,
-                cycle: machine.shared.cycle,
-                records_dropped: hub.dropped(),
-            });
-            let (records, dropped) = hub.finish();
-            self.report.telemetry_records = records;
-            self.report.telemetry_dropped = dropped;
+            hub.finish();
         }
-        self.report.clone()
-    }
-
-    /// Read-only view of the activity report so far.
-    pub fn report(&self) -> &CobraReport {
-        &self.report
+        self.emitter.report()
     }
 }
 
@@ -787,7 +741,7 @@ impl QuantumHook for Cobra {
         for cpu in 0..team.num_threads {
             self.ensure_monitor(cpu);
         }
-        self.report.forks += 1;
+        self.forks += 1;
     }
 
     fn on_quantum(&mut self, machine: &mut Machine) {
@@ -801,7 +755,7 @@ impl QuantumHook for Cobra {
             active += 1;
             let batch = self.driver.drain(cpu);
             forwarded += batch.len() as u64;
-            self.emit(TelemetryEvent::KernelDrain {
+            self.emitter.emit(TelemetryEvent::KernelDrain {
                 tick: self.tick,
                 cycle: machine.shared.cycle,
                 cpu: cpu as u32,
@@ -820,11 +774,10 @@ impl QuantumHook for Cobra {
                 .send(ToMonitor::Tick(self.tick))
                 .expect("monitor alive");
         }
-        self.report.samples_forwarded += forwarded;
         // Charge helper-thread overhead to the machine.
         let overhead = forwarded * self.cfg.overhead_per_sample;
         machine.shared.cycle += overhead;
-        self.report.overhead_cycles += overhead;
+        self.overhead_cycles += overhead;
 
         if active > 0 {
             // Invariant: the optimization thread runs until the Shutdown we
@@ -838,43 +791,27 @@ impl QuantumHook for Cobra {
                 })
                 .expect("optimization thread alive");
             let reply = self.replies.recv().expect("optimization thread alive");
-            self.report.samples_merged = reply.samples_merged;
-            self.report.phase_changes = reply.phase_changes;
-            self.report.stale_deltas = reply.stale_deltas;
-            self.report.warm_hits = reply.warm_hits;
-            self.report.warm_mismatches = reply.warm_mismatches;
-            self.report.undecodable_loops = reply.undecodable_loops;
-            self.report.verify_rejects = reply.verify_rejects;
-            self.report.candidates_trialed = reply.candidates_trialed;
-            self.report.tournaments_promoted = reply.tournaments_promoted;
             for action in reply.actions {
                 self.apply_action(machine, action);
             }
         }
         self.check_osr_watches(machine);
 
-        if self.emitter.is_some() {
-            self.emit(TelemetryEvent::Quantum {
-                tick: self.tick,
-                cycle: machine.shared.cycle,
-                samples_forwarded: forwarded,
-                cpus: CpuCounterSnapshot::all(machine),
-            });
-        }
+        self.emitter.emit(TelemetryEvent::Quantum {
+            tick: self.tick,
+            cycle: machine.shared.cycle,
+            samples_forwarded: forwarded,
+            cpus: CpuCounterSnapshot::all(machine),
+        });
         // Drain the telemetry ring at the safe point. The synchronous tick
         // handshake guarantees every event this tick produced is already in
         // the ring, so the drained count — and the cycles charged for it —
         // is deterministic.
         if let Some(hub) = &mut self.hub {
-            let drained = hub.drain();
-            let cost = drained * self.cfg.overhead_per_sample;
+            let cost = hub.drain() * self.cfg.overhead_per_sample;
             machine.shared.cycle += cost;
-            self.report.overhead_cycles += cost;
-            self.report.telemetry_records = hub.drained();
-            self.report.telemetry_dropped = hub.dropped();
+            self.overhead_cycles += cost;
         }
-
-        self.report.ticks += 1;
         self.tick += 1;
     }
 }
@@ -932,8 +869,6 @@ mod tests {
         );
     }
 
-    /// The deprecated entry point still attaches and behaves like the
-    /// builder.
     /// Telemetry on a quiet program: quantum events with counter snapshots
     /// flow into a memory sink, and the report counts them.
     #[test]
@@ -1003,14 +938,15 @@ mod tests {
                 reason: "cpi regression".into(),
             },
         );
-        assert_eq!(cobra.report.revert_failures, 1);
-        assert_eq!(cobra.report.reverted.len(), 1);
+        let so_far = cobra.emitter.report();
+        assert_eq!(so_far.revert_failures, 1);
+        assert_eq!(so_far.reverted.len(), 1);
         assert!(
-            cobra.report.reverted[0]
+            so_far.reverted[0]
                 .reason
-                .contains("revert failed at 9999 after 0/1 words"),
+                .contains("cpi regression [revert failed at 9999 after 0/1 words"),
             "reason: {}",
-            cobra.report.reverted[0].reason
+            so_far.reverted[0].reason
         );
         let report = cobra.detach(&mut m);
         assert_eq!(report.revert_failures, 1);
@@ -1041,8 +977,9 @@ mod tests {
                 reason: "trial complete".into(),
             },
         );
-        assert_eq!(cobra.report.revert_failures, 1);
-        assert!(cobra.report.reverted[0].reason.contains("after 1/2 words"));
+        let so_far = cobra.emitter.report();
+        assert_eq!(so_far.revert_failures, 1);
+        assert!(so_far.reverted[0].reason.contains("after 1/2 words"));
         cobra.detach(&mut m);
     }
 
@@ -1074,11 +1011,9 @@ mod tests {
                 trace: None,
             }),
         );
-        assert_eq!(cobra.report.deploy_failures, 1);
-        assert!(
-            cobra.report.applied.is_empty(),
-            "half-applied plan recorded"
-        );
+        let so_far = cobra.emitter.report();
+        assert_eq!(so_far.deploy_failures, 1);
+        assert!(so_far.applied.is_empty(), "half-applied plan recorded");
         // The word that landed before the failure was rolled back.
         assert_eq!(m.patch_word(0, nop).unwrap(), word0);
         let report = cobra.detach(&mut m);

@@ -52,8 +52,8 @@ pub use profile::{
 };
 pub use report::{AppliedPlan, CobraReport, RevertedPlan};
 pub use telemetry::{
-    read_jsonl, CpuCounterSnapshot, TelemetryEmitter, TelemetryEvent, TelemetryHub, TelemetryLog,
-    TelemetryRecord, TelemetrySink, TraceSummary,
+    read_jsonl, CpuCounterSnapshot, SeedOutcome, TelemetryEmitter, TelemetryEvent, TelemetryHub,
+    TelemetryLog, TelemetryRecord, TelemetrySink, TraceSummary,
 };
 pub use trace::{loop_lfetch_sites, select_loops, HotLoop, TraceConfig};
 pub use usb::UserSamplingBuffer;

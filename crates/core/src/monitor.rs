@@ -69,29 +69,11 @@ pub enum ToOpt {
     Shutdown,
 }
 
-/// The optimization thread's reply for one tick.
+/// The optimization thread's reply for one tick: the plans to deploy or
+/// revert. Its bookkeeping reaches the report as telemetry events.
 #[derive(Debug, Default)]
 pub struct TickReply {
     pub actions: Vec<PlanAction>,
-    /// Total phase changes observed so far.
-    pub phase_changes: u64,
-    /// Total samples merged so far.
-    pub samples_merged: u64,
-    /// Total deltas dropped so far because they arrived after their tick
-    /// had already been folded.
-    pub stale_deltas: u64,
-    /// Warm-start seeds confirmed by the live profile so far.
-    pub warm_hits: u64,
-    /// Warm-start seeds dropped because the live profile disagreed so far.
-    pub warm_mismatches: u64,
-    /// Candidate loops skipped so far because a word failed to decode.
-    pub undecodable_loops: u64,
-    /// Plans or warm seeds rejected so far by the `cobra-verify` gate.
-    pub verify_rejects: u64,
-    /// Tournament candidate trials completed so far.
-    pub candidates_trialed: u64,
-    /// Tournaments that promoted a winner so far.
-    pub tournaments_promoted: u64,
 }
 
 /// Everything the optimization thread hands back when it exits — the
@@ -107,26 +89,18 @@ pub struct OptFinal {
     pub cumulative: SystemProfile,
 }
 
-/// Statistics a monitoring thread reports at shutdown.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MonitorStats {
-    pub samples_stored: u64,
-    pub samples_dropped: u64,
-    pub ticks: u64,
-}
-
-/// Body of one monitoring thread (runs on a real host thread).
+/// Body of one monitoring thread (runs on a real host thread). Each tick's
+/// USB occupancy reaches the report as a `UsbLevel` event.
 pub fn monitoring_thread(
     cpu: u32,
     sampling_period: u64,
     usb_capacity: usize,
     rx: Receiver<ToMonitor>,
     tx: Sender<ToOpt>,
-    telemetry: Option<TelemetryEmitter>,
-) -> MonitorStats {
+    telemetry: TelemetryEmitter,
+) {
     let mut usb = UserSamplingBuffer::new(usb_capacity);
     let mut profiler = ThreadProfiler::new(cpu, sampling_period);
-    let mut stats = MonitorStats::default();
     while let Ok(msg) = rx.recv() {
         match msg {
             ToMonitor::Samples(batch) => {
@@ -135,18 +109,17 @@ pub fn monitoring_thread(
                 }
             }
             ToMonitor::Tick(tick) => {
-                if let Some(t) = &telemetry {
-                    t.emit(TelemetryEvent::UsbLevel {
-                        tick,
-                        cpu,
-                        occupancy: usb.len(),
-                        capacity: usb_capacity,
-                        dropped_total: usb.dropped(),
-                    });
-                }
+                // The whole buffer becomes this tick's delta, so the
+                // occupancy is the sample count the optimizer merges.
+                telemetry.emit(TelemetryEvent::UsbLevel {
+                    tick,
+                    cpu,
+                    occupancy: usb.len(),
+                    capacity: usb_capacity,
+                    dropped_total: usb.dropped(),
+                });
                 let batch = usb.drain();
                 let delta = profiler.reduce(&batch);
-                stats.ticks += 1;
                 // Delta first, then the ack: per-sender channel ordering
                 // guarantees the optimization thread sees them in order.
                 if tx.send(ToOpt::Delta { tick, delta }).is_err() {
@@ -159,9 +132,6 @@ pub fn monitoring_thread(
             ToMonitor::Shutdown => break,
         }
     }
-    stats.samples_stored = usb.total_stored();
-    stats.samples_dropped = usb.dropped();
-    stats
 }
 
 /// Body of the optimization thread (runs on a real host thread). Owns the
@@ -178,7 +148,7 @@ pub fn optimization_thread(
     mut phases: PhaseDetector,
     rx: Receiver<ToOpt>,
     reply_tx: Sender<TickReply>,
-    telemetry: Option<TelemetryEmitter>,
+    telemetry: TelemetryEmitter,
 ) -> OptFinal {
     let rolling_ticks = optimizer.config().rolling_ticks.max(1);
     let mut cumulative = SystemProfile::new(bands);
@@ -199,22 +169,13 @@ pub fn optimization_thread(
     let mut last_folded: Option<u64> = None;
     let mut recent: std::collections::VecDeque<Vec<crate::profile::ProfileDelta>> =
         std::collections::VecDeque::new();
-    let mut samples_merged = 0u64;
-    let mut stale_deltas = 0u64;
-
-    let drop_stale = |delta_tick: u64,
-                      cpu: u32,
-                      at_tick: u64,
-                      stale: &mut u64,
-                      telemetry: &Option<TelemetryEmitter>| {
-        *stale += 1;
-        if let Some(t) = telemetry {
-            t.emit(TelemetryEvent::StaleDelta {
-                tick: at_tick,
-                cpu,
-                delta_tick,
-            });
-        }
+    let drop_stale = |delta_tick: u64, delta: &crate::profile::ProfileDelta, at_tick: u64| {
+        telemetry.emit(TelemetryEvent::StaleDelta {
+            tick: at_tick,
+            cpu: delta.cpu,
+            delta_tick,
+            samples: delta.samples,
+        });
     };
 
     loop {
@@ -227,13 +188,7 @@ pub fn optimization_thread(
                 if last_folded.is_some_and(|t| tick <= t) {
                     // Its tick is already folded: dropping is the only move
                     // that keeps the rolling window honest.
-                    drop_stale(
-                        tick,
-                        delta.cpu,
-                        last_folded.unwrap_or(0),
-                        &mut stale_deltas,
-                        &telemetry,
-                    );
+                    drop_stale(tick, &delta, last_folded.unwrap_or(0));
                 } else {
                     pending_deltas.entry(tick).or_default().push(delta);
                 }
@@ -270,12 +225,11 @@ pub fn optimization_thread(
                     .collect();
                 for k in old_keys {
                     for d in pending_deltas.remove(&k).unwrap_or_default() {
-                        drop_stale(k, d.cpu, tick, &mut stale_deltas, &telemetry);
+                        drop_stale(k, &d, tick);
                     }
                 }
                 last_folded = Some(tick);
                 for d in &current_tick {
-                    samples_merged += d.samples;
                     cumulative.absorb(d);
                 }
 
@@ -290,15 +244,15 @@ pub fn optimization_thread(
                 }
                 let phase_changed = phases.observe(&tick_window);
                 if phase_changed {
-                    optimizer.on_phase_change();
-                    if let Some(t) = &telemetry {
-                        t.emit(TelemetryEvent::PhaseChange {
-                            tick,
-                            cycle,
-                            phases: phases.phases(),
-                        });
-                    }
-                    // Old-phase history is no longer representative.
+                    telemetry.emit(TelemetryEvent::PhaseChange {
+                        tick,
+                        cycle,
+                        phases: phases.phases(),
+                    });
+                    // Old-phase history is no longer representative. The
+                    // optimizer keeps its deployed and blacklisted loops
+                    // (re-deploying a patched loop would stack rewrites);
+                    // loops that only now became hot meet fresh data.
                     let newest = recent.pop_back();
                     recent.clear();
                     if let Some(d) = newest {
@@ -316,18 +270,8 @@ pub fn optimization_thread(
 
                 optimizer.begin_tick(tick, cycle);
                 optimizer.observe_tick_window(&tick_window);
-                let actions = optimizer.consider(&profile);
                 let reply = TickReply {
-                    actions,
-                    phase_changes: phases.phases() - 1,
-                    samples_merged,
-                    stale_deltas,
-                    warm_hits: optimizer.warm_hits(),
-                    warm_mismatches: optimizer.warm_mismatches(),
-                    undecodable_loops: optimizer.undecodable_loops(),
-                    verify_rejects: optimizer.verify_rejects(),
-                    candidates_trialed: optimizer.candidates_trialed(),
-                    tournaments_promoted: optimizer.tournaments_promoted(),
+                    actions: optimizer.consider(&profile),
                 };
                 if reply_tx.send(reply).is_err() {
                     return finish(&optimizer, cumulative);
@@ -369,8 +313,11 @@ mod tests {
     fn monitor_reduces_batches_and_acks_ticks() {
         let (to_mon_tx, to_mon_rx) = unbounded();
         let (to_opt_tx, to_opt_rx) = unbounded();
-        let handle =
-            std::thread::spawn(move || monitoring_thread(2, 1000, 64, to_mon_rx, to_opt_tx, None));
+        let em = TelemetryEmitter::default();
+        let telemetry = em.clone();
+        let handle = std::thread::spawn(move || {
+            monitoring_thread(2, 1000, 64, to_mon_rx, to_opt_tx, telemetry)
+        });
         to_mon_tx
             .send(ToMonitor::Samples(vec![sample(2, 1), sample(2, 2)]))
             .unwrap();
@@ -392,9 +339,9 @@ mod tests {
             other => panic!("{other:?}"),
         }
         to_mon_tx.send(ToMonitor::Shutdown).unwrap();
-        let stats = handle.join().unwrap();
-        assert_eq!(stats.samples_stored, 2);
-        assert_eq!(stats.ticks, 1);
+        handle.join().unwrap();
+        // The USB occupancy it reported is the delta's sample count.
+        assert_eq!(em.report().samples_merged, 2);
     }
 
     #[test]
@@ -410,7 +357,14 @@ mod tests {
         let (tx, rx) = unbounded();
         let (reply_tx, reply_rx) = unbounded();
         let handle = std::thread::spawn(move || {
-            optimization_thread(optimizer, bands, phases, rx, reply_tx, None)
+            optimization_thread(
+                optimizer,
+                bands,
+                phases,
+                rx,
+                reply_tx,
+                TelemetryEmitter::default(),
+            )
         });
 
         // Two monitors; acks can arrive before BeginTick.
@@ -433,7 +387,6 @@ mod tests {
         .unwrap();
         let reply = reply_rx.recv().unwrap();
         assert!(reply.actions.is_empty(), "quiet profile produces no plans");
-        assert_eq!(reply.samples_merged, 1);
 
         // Second tick with only one monitor.
         tx.send(ToOpt::BeginTick {
@@ -446,7 +399,11 @@ mod tests {
         let _ = reply_rx.recv().unwrap();
 
         tx.send(ToOpt::Shutdown).unwrap();
-        handle.join().unwrap();
+        assert_eq!(
+            handle.join().unwrap().cumulative.samples,
+            1,
+            "the delta acked before BeginTick is merged in its tick"
+        );
     }
 
     #[test]
@@ -461,8 +418,10 @@ mod tests {
         let phases = PhaseDetector::new(PhaseConfig::default());
         let (tx, rx) = unbounded();
         let (reply_tx, reply_rx) = unbounded();
+        let em = TelemetryEmitter::default();
+        let telemetry = em.clone();
         let handle = std::thread::spawn(move || {
-            optimization_thread(optimizer, bands, phases, rx, reply_tx, None)
+            optimization_thread(optimizer, bands, phases, rx, reply_tx, telemetry)
         });
 
         // Tick 0 completes without its delta (e.g. a slow monitor).
@@ -473,11 +432,19 @@ mod tests {
         })
         .unwrap();
         tx.send(ToOpt::TickAck { cpu: 0, tick: 0 }).unwrap();
-        let r0 = reply_rx.recv().unwrap();
-        assert_eq!(r0.samples_merged, 0);
-        assert_eq!(r0.stale_deltas, 0);
+        reply_rx.recv().unwrap();
+        assert_eq!(em.report().samples_merged, 0);
+        assert_eq!(em.report().stale_deltas, 0);
 
-        // The straggler arrives after its tick was folded.
+        // The straggler arrives after its tick was folded; its monitor
+        // reported the 7 samples when it reduced them.
+        em.emit(TelemetryEvent::UsbLevel {
+            tick: 0,
+            cpu: 3,
+            occupancy: 7,
+            capacity: 64,
+            dropped_total: 0,
+        });
         tx.send(ToOpt::Delta {
             tick: 0,
             delta: crate::profile::ProfileDelta {
@@ -496,14 +463,19 @@ mod tests {
         })
         .unwrap();
         tx.send(ToOpt::TickAck { cpu: 0, tick: 1 }).unwrap();
-        let r1 = reply_rx.recv().unwrap();
+        reply_rx.recv().unwrap();
+        let report = em.report();
         assert_eq!(
-            r1.samples_merged, 0,
+            report.samples_merged, 0,
             "stale delta's samples must never be merged"
         );
-        assert_eq!(r1.stale_deltas, 1, "and the drop is counted");
+        assert_eq!(report.stale_deltas, 1, "and the drop is counted");
 
         tx.send(ToOpt::Shutdown).unwrap();
-        handle.join().unwrap();
+        assert_eq!(
+            handle.join().unwrap().cumulative.samples,
+            0,
+            "the optimization thread never absorbed the stale delta"
+        );
     }
 }

@@ -24,7 +24,7 @@ use cobra_isa::{encode, CodeAddr, CodeImage, NOP_SLOT_M};
 use serde::{Deserialize, Serialize};
 
 use crate::profile::{CounterWindow, SystemProfile};
-use crate::telemetry::{TelemetryEmitter, TelemetryEvent};
+use crate::telemetry::{SeedOutcome, TelemetryEmitter, TelemetryEvent};
 use crate::trace::{
     loop_lfetch_sites, loops_with_delinquent_loads, select_loops, HotLoop, TraceConfig,
 };
@@ -531,16 +531,11 @@ pub struct Optimizer {
     seeded_winners: HashMap<CodeAddr, String>,
     /// In-flight candidate tournaments.
     tournaments: Vec<Tournament>,
-    candidates_trialed: u64,
-    tournaments_promoted: u64,
     /// Whether [`Optimizer::warm_start`] ran (enables the shortened
     /// learning window even after every seed is consumed).
     warm: bool,
-    warm_hits: u64,
-    warm_mismatches: u64,
-    undecodable_loops: u64,
-    verify_rejects: u64,
-    telemetry: Option<TelemetryEmitter>,
+    /// Every decision is published here; its report counts them.
+    telemetry: TelemetryEmitter,
     /// Quantum tick / machine cycle of the tick being considered (set by
     /// [`Optimizer::begin_tick`]), used to stamp telemetry events.
     cur_tick: u64,
@@ -567,14 +562,8 @@ impl Optimizer {
             seeded: HashMap::new(),
             seeded_winners: HashMap::new(),
             tournaments: Vec::new(),
-            candidates_trialed: 0,
-            tournaments_promoted: 0,
             warm: false,
-            warm_hits: 0,
-            warm_mismatches: 0,
-            undecodable_loops: 0,
-            verify_rejects: 0,
-            telemetry: None,
+            telemetry: TelemetryEmitter::default(),
             cur_tick: 0,
             cur_cycle: 0,
             tick_window: None,
@@ -586,9 +575,15 @@ impl Optimizer {
     }
 
     /// Publish decision events (classifications, CPI trials, blacklists)
-    /// through `emitter`.
+    /// through `emitter` (by default, a sink-less emitter of its own).
     pub fn set_telemetry(&mut self, emitter: TelemetryEmitter) {
-        self.telemetry = Some(emitter);
+        self.telemetry = emitter;
+    }
+
+    /// The emitter decisions are published through; its report counts
+    /// warm hits, verifier rejects, candidate trials and the rest.
+    pub fn telemetry(&self) -> &TelemetryEmitter {
+        &self.telemetry
     }
 
     /// Stamp subsequent decisions with the tick/cycle they belong to.
@@ -621,7 +616,6 @@ impl Optimizer {
             // simply falls back to the cold decision path.
             if self.cfg.verify {
                 if let Err(err) = cobra_verify::check_seed(&self.image, head) {
-                    self.verify_rejects += 1;
                     self.emit(TelemetryEvent::VerifyReject {
                         tick: self.cur_tick,
                         cycle: self.cur_cycle,
@@ -643,7 +637,6 @@ impl Optimizer {
             // not skip the tournament *and* the safety check.
             if self.cfg.verify {
                 if let Err(err) = cobra_verify::check_seed(&self.image, head) {
-                    self.verify_rejects += 1;
                     self.emit(TelemetryEvent::VerifyReject {
                         tick: self.cur_tick,
                         cycle: self.cur_cycle,
@@ -660,36 +653,6 @@ impl Optimizer {
     /// Whether [`Optimizer::warm_start`] ran.
     pub fn is_warm(&self) -> bool {
         self.warm
-    }
-
-    /// Seeded deployments whose live classification agreed.
-    pub fn warm_hits(&self) -> u64 {
-        self.warm_hits
-    }
-
-    /// Seeded decisions dropped because the live profile disagreed.
-    pub fn warm_mismatches(&self) -> u64 {
-        self.warm_mismatches
-    }
-
-    /// Candidate loops skipped because a word in them failed to decode.
-    pub fn undecodable_loops(&self) -> u64 {
-        self.undecodable_loops
-    }
-
-    /// Plans (or warm seeds) rejected by the `cobra-verify` safety checker.
-    pub fn verify_rejects(&self) -> u64 {
-        self.verify_rejects
-    }
-
-    /// Tournament candidate trials completed (each one deploy + revert).
-    pub fn candidates_trialed(&self) -> u64 {
-        self.candidates_trialed
-    }
-
-    /// Tournaments that ended by promoting a winner.
-    pub fn tournaments_promoted(&self) -> u64 {
-        self.tournaments_promoted
     }
 
     /// Final per-loop decisions and the blacklist, for persistence. Both
@@ -716,9 +679,7 @@ impl Optimizer {
     }
 
     fn emit(&self, event: TelemetryEvent) {
-        if let Some(t) = &self.telemetry {
-            t.emit(event);
-        }
+        self.telemetry.emit(event);
     }
 
     /// Evaluate the current profile; returns any plans to deploy or revert.
@@ -823,128 +784,144 @@ impl Optimizer {
                 continue;
             }
             let prefetch_effective = self.classify(&lp, profile);
-            let kind = self.choose_kind(prefetch_effective);
+            let decision = self.choose_kind(prefetch_effective);
+            let (seed, deployed) =
+                self.decide_loop(&lp, &sites, decision, in_warm_window, profile, &mut actions);
+            // Emitted after the decision: a resumed tournament winner only
+            // counts as a warm hit once its plan has passed the gates.
             self.emit(TelemetryEvent::LoopClassified {
                 tick: self.cur_tick,
                 cycle: self.cur_cycle,
                 loop_head: lp.head,
                 back_edge: lp.back_edge,
                 prefetch_effective,
-                decision: kind,
+                decision,
+                seed,
             });
-            let seeded_kind = self.seeded.get(&lp.head).copied();
-            let Some(kind) = kind else {
-                if seeded_kind.is_some() {
-                    // The live profile declines what the prior run deployed:
-                    // drop the seed, let the normal path re-decide later.
-                    self.seeded.remove(&lp.head);
-                    self.warm_mismatches += 1;
-                }
-                continue;
+            if deployed {
+                deployed_this_tick += 1;
+            }
+        }
+        actions
+    }
+
+    /// Act on one classified candidate loop: settle its warm seed, start a
+    /// tournament, or build, verify and queue its plan. Returns the seed
+    /// outcome (when this loop had a seed that got settled) and whether the
+    /// loop used up one of this tick's deployment slots.
+    fn decide_loop(
+        &mut self,
+        lp: &HotLoop,
+        sites: &[CodeAddr],
+        decision: Option<OptKind>,
+        in_warm_window: bool,
+        profile: &SystemProfile,
+        actions: &mut Vec<PlanAction>,
+    ) -> (Option<SeedOutcome>, bool) {
+        let seeded_kind = self.seeded.get(&lp.head).copied();
+        let Some(kind) = decision else {
+            // The live profile declines what the prior run deployed: drop
+            // the seed, let the normal path re-decide later.
+            return match self.seeded.remove(&lp.head) {
+                Some(_) => (Some(SeedOutcome::Mismatch), false),
+                None => (None, false),
             };
-            if self.cfg.candidates {
-                let specs = candidate_specs(&sites, lp.head);
-                if specs.len() >= 3 {
-                    // Tournament path. Classic decision seeds carry no
-                    // candidate name; consume them without hit/miss
-                    // accounting — the tournament (or the warm winner
-                    // below) re-decides from scratch.
-                    self.seeded.remove(&lp.head);
-                    if let Some(name) = self.seeded_winners.remove(&lp.head) {
-                        if let Some(spec) = specs.iter().find(|s| s.name == name).cloned() {
-                            if self.deploy_winner(&lp, &sites, &spec, &[], profile, &mut actions) {
-                                self.warm_hits += 1;
-                                deployed_this_tick += 1;
-                            }
-                            continue;
-                        }
-                        // A winner name this build no longer generates:
-                        // fall through and re-run the tournament.
-                        self.warm_mismatches += 1;
-                    }
-                    self.optimized_heads.insert(lp.head);
-                    self.tournaments.push(Tournament {
-                        lp: lp.clone(),
-                        sites: sites.clone(),
-                        specs,
-                        next: 0,
-                        results: Vec::new(),
-                        baseline_cpi: profile.window.cpi(),
-                        live: None,
-                        poisoned: false,
-                    });
-                    deployed_this_tick += 1;
-                    continue;
-                }
-                // Fewer than 3 distinct candidates (e.g. a single-site
-                // loop): the tournament adds nothing — classic path below.
-            }
-            if let Some(seed) = seeded_kind {
+        };
+        let mut seed = None;
+        if self.cfg.candidates {
+            let specs = candidate_specs(sites, lp.head);
+            if specs.len() >= 3 {
+                // Tournament path. Classic decision seeds carry no
+                // candidate name; consume them without hit/miss
+                // accounting — the tournament (or the warm winner below)
+                // re-decides from scratch.
                 self.seeded.remove(&lp.head);
-                if seed == kind {
-                    self.warm_hits += 1;
-                } else {
-                    self.warm_mismatches += 1;
-                    if in_warm_window {
-                        // Mismatched seeds never deploy early; the loop
-                        // falls back to the normal post-warmup path.
-                        continue;
+                if let Some(name) = self.seeded_winners.remove(&lp.head) {
+                    if let Some(spec) = specs.iter().find(|s| s.name == name).cloned() {
+                        let deployed = self.deploy_winner(lp, sites, &spec, &[], profile, actions);
+                        return (deployed.then_some(SeedOutcome::Hit), deployed);
                     }
+                    // A winner name this build no longer generates: fall
+                    // through and re-run the tournament.
+                    seed = Some(SeedOutcome::Mismatch);
+                }
+                self.optimized_heads.insert(lp.head);
+                self.tournaments.push(Tournament {
+                    lp: lp.clone(),
+                    sites: sites.to_vec(),
+                    specs,
+                    next: 0,
+                    results: Vec::new(),
+                    baseline_cpi: profile.window.cpi(),
+                    live: None,
+                    poisoned: false,
+                });
+                return (seed, true);
+            }
+            // Fewer than 3 distinct candidates (e.g. a single-site loop):
+            // the tournament adds nothing — classic path below.
+        }
+        if let Some(prior) = seeded_kind {
+            self.seeded.remove(&lp.head);
+            if prior == kind {
+                seed = Some(SeedOutcome::Hit);
+            } else {
+                seed = Some(SeedOutcome::Mismatch);
+                if in_warm_window {
+                    // Mismatched seeds never deploy early; the loop falls
+                    // back to the normal post-warmup path.
+                    return (seed, false);
                 }
             }
-            let Some(plan) = self.build_plan(&lp, &sites, kind, profile) else {
-                // A word in the loop no longer decodes (e.g. foreign bytes
-                // in the text): skip and never retry, don't abort the
-                // optimizer thread.
-                self.undecodable_loops += 1;
+        }
+        let Some(plan) = self.build_plan(lp, sites, kind, profile) else {
+            // A word in the loop no longer decodes (e.g. foreign bytes in
+            // the text): skip and never retry, don't abort the optimizer
+            // thread.
+            self.blacklisted_heads.insert(lp.head);
+            self.emit(TelemetryEvent::UndecodableLoop {
+                tick: self.cur_tick,
+                cycle: self.cur_cycle,
+                loop_head: lp.head,
+            });
+            return (seed, false);
+        };
+        // The deploy gate: every plan is machine-checked against the live
+        // image before it lands. A rejection means the optimizer produced
+        // (or was fed) something unsafe — blacklist the loop and keep
+        // running rather than deploy a miscompile.
+        if self.cfg.verify {
+            if let Err(err) = verify_plan(&self.image, &plan, self.cfg.trace.entry_window_slots) {
                 self.blacklisted_heads.insert(lp.head);
-                self.emit(TelemetryEvent::UndecodableLoop {
+                self.emit(TelemetryEvent::VerifyReject {
                     tick: self.cur_tick,
                     cycle: self.cur_cycle,
                     loop_head: lp.head,
+                    reason: err.to_string(),
                 });
-                continue;
-            };
-            // The deploy gate: every plan is machine-checked against the
-            // live image before it lands. A rejection means the optimizer
-            // produced (or was fed) something unsafe — blacklist the loop
-            // and keep running rather than deploy a miscompile.
-            if self.cfg.verify {
-                if let Err(err) = verify_plan(&self.image, &plan, self.cfg.trace.entry_window_slots)
-                {
-                    self.verify_rejects += 1;
-                    self.blacklisted_heads.insert(lp.head);
-                    self.emit(TelemetryEvent::VerifyReject {
-                        tick: self.cur_tick,
-                        cycle: self.cur_cycle,
-                        loop_head: lp.head,
-                        reason: err.to_string(),
-                    });
-                    continue;
-                }
+                return (seed, false);
             }
-            self.apply_to_own_image(&plan);
-            self.optimized_heads.insert(lp.head);
-            self.deployments.push(Deployment {
-                plan_id: plan.id,
-                loop_head: lp.head,
-                kind,
-                candidate: None,
-                trials: Vec::new(),
-                undo: plan
-                    .writes
-                    .iter()
-                    .map(|&(addr, _)| (addr, self.undo_word(addr, &plan)))
-                    .collect(),
-                baseline_cpi: profile.window.cpi(),
-                last_post_cpi: None,
-                post_ticks: 0,
-                reverted: false,
-            });
-            actions.push(PlanAction::Apply(plan));
-            deployed_this_tick += 1;
         }
-        actions
+        self.apply_to_own_image(&plan);
+        self.optimized_heads.insert(lp.head);
+        self.deployments.push(Deployment {
+            plan_id: plan.id,
+            loop_head: lp.head,
+            kind,
+            candidate: None,
+            trials: Vec::new(),
+            undo: plan
+                .writes
+                .iter()
+                .map(|&(addr, _)| (addr, self.undo_word(addr, &plan)))
+                .collect(),
+            baseline_cpi: profile.window.cpi(),
+            last_post_cpi: None,
+            post_ticks: 0,
+            reverted: false,
+        });
+        actions.push(PlanAction::Apply(plan));
+        (seed, true)
     }
 
     /// Per-loop memory-band fraction of the DEAR captures inside the loop
@@ -1231,7 +1208,6 @@ impl Optimizer {
                 let cpi = live.cycles as f64 / live.insns as f64;
                 let name = t.specs[live.spec_idx].name;
                 t.results.push((name.to_string(), cpi));
-                self.candidates_trialed += 1;
                 self.emit(TelemetryEvent::CandidateTrial {
                     tick: self.cur_tick,
                     cycle: self.cur_cycle,
@@ -1279,7 +1255,6 @@ impl Optimizer {
             ) else {
                 // A word in the loop stopped decoding mid-tournament:
                 // abandon the whole tournament, never retry the loop.
-                self.undecodable_loops += 1;
                 self.blacklisted_heads.insert(t.lp.head);
                 self.emit(TelemetryEvent::UndecodableLoop {
                     tick: self.cur_tick,
@@ -1292,7 +1267,6 @@ impl Optimizer {
                 if let Err(err) = verify_plan(&self.image, &plan, self.cfg.trace.entry_window_slots)
                 {
                     // Reject only this candidate; the rest still compete.
-                    self.verify_rejects += 1;
                     self.emit(TelemetryEvent::VerifyReject {
                         tick: self.cur_tick,
                         cycle: self.cur_cycle,
@@ -1396,9 +1370,6 @@ impl Optimizer {
             return;
         };
         let promoted = self.deploy_winner(&t.lp, &t.sites, &spec, &t.results, profile, actions);
-        if promoted {
-            self.tournaments_promoted += 1;
-        }
         self.emit(TelemetryEvent::TournamentOutcome {
             tick: self.cur_tick,
             cycle: self.cur_cycle,
@@ -1430,7 +1401,6 @@ impl Optimizer {
             Some(spec.name),
             profile,
         ) else {
-            self.undecodable_loops += 1;
             self.blacklisted_heads.insert(lp.head);
             self.emit(TelemetryEvent::UndecodableLoop {
                 tick: self.cur_tick,
@@ -1441,7 +1411,6 @@ impl Optimizer {
         };
         if self.cfg.verify {
             if let Err(err) = verify_plan(&self.image, &plan, self.cfg.trace.entry_window_slots) {
-                self.verify_rejects += 1;
                 self.blacklisted_heads.insert(lp.head);
                 self.emit(TelemetryEvent::VerifyReject {
                     tick: self.cur_tick,
@@ -1590,13 +1559,6 @@ impl Optimizer {
             });
         }
     }
-
-    /// Notification of a detected phase change. Deployed and blacklisted
-    /// loops stay as they are (re-deploying an already-patched loop would
-    /// stack rewrites); the value of the phase signal is that the *caller*
-    /// discards stale profile history, so loops that only now became hot
-    /// get considered against fresh data.
-    pub fn on_phase_change(&mut self) {}
 
     /// Number of applied (non-reverted) deployments.
     pub fn active_deployments(&self) -> usize {
@@ -1900,10 +1862,10 @@ mod tests {
             !actions.iter().any(|a| matches!(a, PlanAction::Apply(_))),
             "no plan may be built from an undecodable body: {actions:?}"
         );
-        assert_eq!(opt.undecodable_loops(), 1);
+        assert_eq!(opt.telemetry().report().undecodable_loops, 1);
         // Blacklisted: re-considering does not retry (and does not recount).
         assert!(opt.consider(&profile).is_empty());
-        assert_eq!(opt.undecodable_loops(), 1);
+        assert_eq!(opt.telemetry().report().undecodable_loops, 1);
         assert_eq!(opt.active_deployments(), 0);
     }
 
@@ -1948,8 +1910,8 @@ mod tests {
             warm_tick < cold_tick,
             "warm deploy at tick {warm_tick} must beat cold tick {cold_tick}"
         );
-        assert_eq!(warm.warm_hits(), 1);
-        assert_eq!(warm.warm_mismatches(), 0);
+        assert_eq!(warm.telemetry().report().warm_hits, 1);
+        assert_eq!(warm.telemetry().report().warm_mismatches, 0);
     }
 
     /// A seed the live profile contradicts is dropped: no early deploy, and
@@ -1980,8 +1942,8 @@ mod tests {
                 }
             }
         }
-        assert_eq!(opt.warm_mismatches(), 1);
-        assert_eq!(opt.warm_hits(), 0);
+        assert_eq!(opt.telemetry().report().warm_mismatches, 1);
+        assert_eq!(opt.telemetry().report().warm_hits, 0);
         assert_eq!(deploys.len(), 1, "exactly one deployment: {deploys:?}");
         let (tick, kind) = deploys[0];
         assert_eq!(kind, OptKind::NoPrefetch, "live profile wins");
@@ -2066,11 +2028,11 @@ mod tests {
             actions.is_empty(),
             "unsafe plan must not deploy: {actions:?}"
         );
-        assert_eq!(opt.verify_rejects(), 1);
+        assert_eq!(opt.telemetry().report().verify_rejects, 1);
         assert_eq!(opt.active_deployments(), 0);
         // Blacklisted: never retried.
         assert!(opt.consider(&profile).is_empty());
-        assert_eq!(opt.verify_rejects(), 1);
+        assert_eq!(opt.telemetry().report().verify_rejects, 1);
         // The same loop with `.excl` (no removal) is safe and deploys.
         let mut a = Assembler::new();
         let top = a.new_label();
@@ -2092,7 +2054,7 @@ mod tests {
         );
         let actions = opt.consider(&hot_profile(load_pc, head, back, 1.0));
         assert_eq!(actions.len(), 1);
-        assert_eq!(opt.verify_rejects(), 0);
+        assert_eq!(opt.telemetry().report().verify_rejects, 0);
     }
 
     /// Warm seeds are re-verified against the live image at attach: a head
@@ -2114,13 +2076,13 @@ mod tests {
             blacklist: vec![],
             winners: vec![],
         });
-        assert_eq!(opt.verify_rejects(), 1);
+        assert_eq!(opt.telemetry().report().verify_rejects, 1);
         // The valid seed still deploys through the normal path.
         let profile = hot_profile(load_pc, head, back, 1.0);
         let actions = opt.consider(&profile);
         assert_eq!(actions.len(), 1);
-        assert_eq!(opt.warm_hits(), 1);
-        assert_eq!(opt.verify_rejects(), 1);
+        assert_eq!(opt.telemetry().report().warm_hits, 1);
+        assert_eq!(opt.telemetry().report().verify_rejects, 1);
     }
 
     /// `verify_plan` is the same check the deploy gate runs; a tampered
@@ -2230,8 +2192,11 @@ mod tests {
             trial_applies.len() >= 3,
             "at least 3 distinct candidates trialed: {trial_applies:?}"
         );
-        assert_eq!(opt.candidates_trialed(), trial_applies.len() as u64);
-        assert_eq!(opt.tournaments_promoted(), 1);
+        assert_eq!(
+            opt.telemetry().report().candidates_trialed,
+            trial_applies.len() as u64
+        );
+        assert_eq!(opt.telemetry().report().tournaments_promoted, 1);
         assert_eq!(opt.active_deployments(), 1);
         let (decisions, _) = opt.export_state();
         assert_eq!(decisions.len(), 1);
@@ -2272,8 +2237,8 @@ mod tests {
                 }
             }
         }
-        assert!(opt.candidates_trialed() >= 3);
-        assert_eq!(opt.tournaments_promoted(), 0);
+        assert!(opt.telemetry().report().candidates_trialed >= 3);
+        assert_eq!(opt.telemetry().report().tournaments_promoted, 0);
         assert_eq!(opt.active_deployments(), 0, "nothing stays deployed");
         // Blacklisted: no new tournament, no deployment, ever.
         assert!(opt
@@ -2314,7 +2279,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(opt.candidates_trialed(), 0);
+        assert_eq!(opt.telemetry().report().candidates_trialed, 0);
         assert!(opt.tournaments.is_empty());
     }
 
@@ -2345,7 +2310,7 @@ mod tests {
             );
         }
         assert!(opt.tournaments.is_empty(), "tournament dropped");
-        assert_eq!(opt.tournaments_promoted(), 0);
+        assert_eq!(opt.telemetry().report().tournaments_promoted, 0);
         assert_eq!(opt.active_deployments(), 0);
     }
 
@@ -2377,9 +2342,13 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(opt.candidates_trialed(), 0, "no re-trialing");
+        assert_eq!(
+            opt.telemetry().report().candidates_trialed,
+            0,
+            "no re-trialing"
+        );
         assert!(opt.tournaments.is_empty());
-        assert_eq!(opt.warm_hits(), 1);
+        assert_eq!(opt.telemetry().report().warm_hits, 1);
         assert_eq!(opt.active_deployments(), 1);
     }
 }

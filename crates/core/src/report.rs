@@ -1,10 +1,13 @@
 //! What COBRA did to a run — deployment log and bookkeeping, used by the
-//! harness to explain each experiment's result.
+//! harness to explain each experiment's result. A report is the fold of the
+//! run's telemetry events: the runtime folds each event as it is emitted,
+//! and `TraceSummary` folds a trace file the same way.
 
 use cobra_isa::CodeAddr;
 use serde::{Deserialize, Serialize};
 
 use crate::optimizer::OptKind;
+use crate::telemetry::{SeedOutcome, TelemetryEvent};
 
 /// One applied deployment.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -140,6 +143,150 @@ pub struct CobraReport {
 }
 
 impl CobraReport {
+    /// Fold one event into the report — the only code that changes a field,
+    /// apart from the ring's own `telemetry_records`/`telemetry_dropped`
+    /// totals. Counts add up, so a trace of several runs folds into a sum.
+    pub fn apply(&mut self, event: &TelemetryEvent) {
+        use TelemetryEvent as E;
+        match event {
+            E::Quantum {
+                samples_forwarded, ..
+            } => {
+                self.ticks += 1;
+                self.samples_forwarded += samples_forwarded;
+            }
+            // Each tick a monitor reduces its whole buffer into one delta,
+            // merged unless stale (subtracted below).
+            E::UsbLevel { occupancy, .. } => self.samples_merged += *occupancy as u64,
+            E::StaleDelta { samples, .. } => {
+                self.stale_deltas += 1;
+                self.samples_merged = self.samples_merged.saturating_sub(*samples);
+            }
+            E::LoopClassified { seed, .. } => match seed {
+                Some(SeedOutcome::Hit) => self.warm_hits += 1,
+                Some(SeedOutcome::Mismatch) => self.warm_mismatches += 1,
+                None => {}
+            },
+            E::PhaseChange { .. } => self.phase_changes += 1,
+            E::Deploy {
+                tick,
+                plan_id,
+                kind,
+                loop_head,
+                words_patched,
+                trace_entry,
+                description,
+                candidate,
+                ..
+            } => self.applied.push(AppliedPlan {
+                plan_id: *plan_id,
+                kind: *kind,
+                loop_head: *loop_head,
+                description: description.clone(),
+                tick: *tick,
+                words_patched: *words_patched,
+                trace_entry: *trace_entry,
+                candidate: candidate.clone(),
+            }),
+            E::Revert {
+                tick,
+                plan_id,
+                reason,
+                ..
+            } => self.reverted.push(RevertedPlan {
+                plan_id: *plan_id,
+                reason: reason.clone(),
+                tick: *tick,
+            }),
+            E::RevertFailed {
+                tick,
+                plan_id,
+                addr,
+                words_restored,
+                detail,
+                reason,
+                words_total,
+                ..
+            } => {
+                self.revert_failures += 1;
+                self.reverted.push(RevertedPlan {
+                    plan_id: *plan_id,
+                    reason: format!(
+                        "{reason} [revert failed at {addr} after {words_restored}/{words_total} words: {detail}]"
+                    ),
+                    tick: *tick,
+                });
+            }
+            E::DeployFailed { .. } => self.deploy_failures += 1,
+            E::CandidateTrial { .. } => self.candidates_trialed += 1,
+            E::TournamentOutcome { promoted, .. } => {
+                self.tournaments_promoted += u64::from(*promoted)
+            }
+            E::UndecodableLoop { .. } => self.undecodable_loops += 1,
+            E::VerifyReject { .. } => self.verify_rejects += 1,
+            // Either seed source warm-starts the run.
+            E::WarmStart {
+                seeded_decisions,
+                seeded_blacklist,
+                skipped_records,
+                ..
+            }
+            | E::FleetSeed {
+                seeded_decisions,
+                seeded_blacklist,
+                skipped_records,
+                ..
+            } => {
+                self.fleet_seeds += u64::from(matches!(event, E::FleetSeed { .. }));
+                self.warm_started = true;
+                self.warm_seeded_decisions += seeded_decisions;
+                self.warm_seeded_blacklist += seeded_blacklist;
+                self.store_skipped_records += skipped_records;
+            }
+            E::StoreError {
+                skipped_records, ..
+            } => {
+                self.store_errors += 1;
+                self.store_skipped_records += skipped_records;
+            }
+            E::StoreSave { records, .. } => self.store_saved_records += *records as u64,
+            E::FleetUpload { .. } => self.fleet_uploads += 1,
+            E::FleetError { .. } => self.fleet_errors += 1,
+            E::OsrMigrate {
+                migrations,
+                ticks_since_deploy,
+                ..
+            } => {
+                self.osr_migrations += migrations;
+                self.ticks_to_all_optimized += ticks_since_deploy;
+            }
+            E::OsrRevert {
+                migrations,
+                ticks_since_revert,
+                ..
+            } => {
+                self.osr_reverse_migrations += migrations;
+                self.ticks_to_all_optimized += ticks_since_revert;
+            }
+            E::OsrRejected { .. } => self.osr_rejects += 1,
+            E::Detach {
+                records_dropped,
+                forks,
+                monitors_spawned,
+                guest_faults,
+                overhead_cycles,
+                ..
+            } => {
+                self.telemetry_dropped += records_dropped;
+                self.forks += forks;
+                self.monitors_spawned += monitors_spawned;
+                self.guest_faults += guest_faults;
+                self.overhead_cycles += overhead_cycles;
+            }
+            E::KernelDrain { .. } | E::CpiTrial { .. } | E::Blacklist { .. } => {}
+        }
+    }
+
     /// Deployments still in effect at the end of the run.
     pub fn active_deployments(&self) -> usize {
         self.applied

@@ -6,16 +6,19 @@
 //! classifications, phase-change triggers, trace-cache deployments, CPI
 //! trial windows, and revert/blacklist decisions.
 //!
-//! Events flow through a **bounded, drop-counting ring** — helper threads
+//! Each event is first folded, without loss, into the run's [`CobraReport`]
+//! ([`CobraReport::apply`]). Only then, with a sink configured, does it
+//! enter a **bounded, drop-counting ring** — a lossy export: helper threads
 //! publish with a non-blocking `try_send` and never stall the optimization
 //! pipeline; when the ring is full the record is counted and discarded —
-//! into a per-run [`TelemetrySink`]:
+//! drained into a per-run [`TelemetrySink`]:
 //!
 //! * [`TelemetrySink::memory`] — an in-process [`TelemetryLog`] with a
 //!   query API, for tests and programmatic consumers;
 //! * [`TelemetrySink::jsonl_file`] — a serde-backed JSON-Lines writer, one
 //!   record per line, consumed by `cobra-repro ... --trace-out FILE` and
-//!   summarized by `cobra-repro trace FILE`.
+//!   summarized by `cobra-repro trace FILE`, which runs the same fold
+//!   over the file ([`TraceSummary`]).
 //!
 //! Records carry a global sequence number assigned at emission. Events
 //! emitted by one thread are totally ordered among themselves; interleaving
@@ -38,6 +41,7 @@ use cobra_machine::{CpuStats, Machine};
 use serde::{Deserialize, Serialize};
 
 use crate::optimizer::OptKind;
+use crate::report::CobraReport;
 
 /// Default ring capacity (records buffered between drains).
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
@@ -78,7 +82,17 @@ impl CpuCounterSnapshot {
     }
 }
 
-/// One pipeline event. Variants mirror the stages of Figure 4.
+/// What the live classification did to a warm-start seed for its loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum SeedOutcome {
+    /// The live profile confirmed the seed and it deployed.
+    Hit,
+    /// The live profile (or this build's candidates) contradicted it.
+    Mismatch,
+}
+
+/// One pipeline event. Variants mirror the stages of Figure 4. Record counts
+/// are charged as simulated cycles: add facts as fields, never variants.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum TelemetryEvent {
     /// A quantum boundary processed by the framework, with per-CPU HPM
@@ -116,6 +130,10 @@ pub enum TelemetryEvent {
         prefetch_effective: bool,
         /// The rewrite chosen, or `None` when the optimizer declined.
         decision: Option<OptKind>,
+        /// The loop's warm-start seed outcome, if it had a seed that was
+        /// settled by this classification.
+        #[serde(default)]
+        seed: Option<SeedOutcome>,
     },
     /// A monitoring thread's delta arrived after its tick had already been
     /// folded and was dropped (`tick` is the latest folded tick at drop
@@ -124,6 +142,9 @@ pub enum TelemetryEvent {
         tick: u64,
         cpu: u32,
         delta_tick: u64,
+        /// Samples the dropped delta carried (never merged).
+        #[serde(default)]
+        samples: u64,
     },
     /// The phase detector fired; profile history was discarded.
     PhaseChange { tick: u64, cycle: u64, phases: u64 },
@@ -136,6 +157,12 @@ pub enum TelemetryEvent {
         loop_head: CodeAddr,
         words_patched: usize,
         trace_entry: Option<CodeAddr>,
+        /// The plan's one-line description.
+        #[serde(default)]
+        description: String,
+        /// Tournament candidate name, for candidate deployments.
+        #[serde(default)]
+        candidate: Option<String>,
     },
     /// A post-deployment CPI trial window was judged.
     CpiTrial {
@@ -172,6 +199,12 @@ pub enum TelemetryEvent {
         /// Words successfully restored before the failure.
         words_restored: usize,
         detail: String,
+        /// Why the revert was attempted.
+        #[serde(default)]
+        reason: String,
+        /// Words the revert had to restore.
+        #[serde(default)]
+        words_total: usize,
     },
     /// A deployment failed mid-apply on the live image: the framework
     /// rolled back the words already written and poisoned the loop.
@@ -239,6 +272,9 @@ pub enum TelemetryEvent {
         tick: u64,
         cycle: u64,
         detail: String,
+        /// Damaged store records skipped before an attach-time rejection.
+        #[serde(default)]
+        skipped_records: u64,
     },
     /// An updated snapshot was committed to the store at detach.
     StoreSave {
@@ -258,6 +294,9 @@ pub enum TelemetryEvent {
         seeded_blacklist: usize,
         /// Runs the fleet had folded into the served seed.
         runs: u64,
+        /// Damaged records skipped loading the store snapshot it outranked.
+        #[serde(default)]
+        skipped_records: u64,
     },
     /// The detach snapshot was uploaded to the fleet server.
     FleetUpload {
@@ -311,13 +350,22 @@ pub enum TelemetryEvent {
         loop_head: CodeAddr,
         reason: String,
     },
-    /// The framework detached; final counters. Traces that also carry
-    /// `block_*` counters (from the removed block-dispatch engine) still
-    /// load; those keys are ignored.
+    /// The framework detached; final counters: ring drops so far, forks,
+    /// monitoring threads, guest faults and helper-thread cycles charged
+    /// over the run. Traces that also carry `block_*` counters (from the
+    /// removed block-dispatch engine) still load; those keys are ignored.
     Detach {
         tick: u64,
         cycle: u64,
         records_dropped: u64,
+        #[serde(default)]
+        forks: u64,
+        #[serde(default)]
+        monitors_spawned: usize,
+        #[serde(default)]
+        guest_faults: u64,
+        #[serde(default)]
+        overhead_cycles: u64,
     },
 }
 
@@ -363,16 +411,22 @@ pub struct TelemetryRecord {
     pub event: TelemetryEvent,
 }
 
+#[derive(Default)]
 struct EmitterShared {
-    tx: Sender<TelemetryRecord>,
+    report: Mutex<CobraReport>,
+    /// The bounded ring a sink drains (`None`: no sink).
+    ring: Option<Sender<TelemetryRecord>>,
     seq: AtomicU64,
     dropped: AtomicU64,
 }
 
-/// Cloneable, thread-safe event publisher. Emission is non-blocking: a
-/// full ring drops the record and counts it, so telemetry can never stall
-/// the monitoring or optimization threads.
-#[derive(Clone)]
+/// Cloneable, thread-safe event publisher. Every event is folded into the
+/// run's [`CobraReport`] before anything else; with a sink configured it
+/// is then offered to the ring without blocking — a full ring drops the
+/// record and counts it, so telemetry can never stall the monitoring or
+/// optimization threads. [`TelemetryEmitter::default`] has no ring: it
+/// only keeps the report.
+#[derive(Clone, Default)]
 pub struct TelemetryEmitter {
     shared: Arc<EmitterShared>,
 }
@@ -380,7 +434,7 @@ pub struct TelemetryEmitter {
 impl fmt::Debug for TelemetryEmitter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TelemetryEmitter")
-            .field("emitted", &self.emitted())
+            .field("exported", &self.shared.ring.is_some())
             .field("dropped", &self.dropped())
             .finish()
     }
@@ -388,10 +442,14 @@ impl fmt::Debug for TelemetryEmitter {
 
 impl TelemetryEmitter {
     /// Publish one event. Returns `false` when the ring was full and the
-    /// record was dropped.
+    /// exported record was dropped (the report still counts the event).
     pub fn emit(&self, event: TelemetryEvent) -> bool {
+        self.folded().apply(&event);
+        let Some(ring) = &self.shared.ring else {
+            return true;
+        };
         let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed);
-        match self.shared.tx.try_send(TelemetryRecord { seq, event }) {
+        match ring.try_send(TelemetryRecord { seq, event }) {
             Ok(()) => true,
             Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
                 self.shared.dropped.fetch_add(1, Ordering::Relaxed);
@@ -405,9 +463,15 @@ impl TelemetryEmitter {
         self.shared.dropped.load(Ordering::Relaxed)
     }
 
-    /// Events emitted so far (including dropped ones).
-    pub fn emitted(&self) -> u64 {
-        self.shared.seq.load(Ordering::Relaxed)
+    /// The report folded from every event emitted so far.
+    pub fn report(&self) -> CobraReport {
+        self.folded().clone()
+    }
+
+    fn folded(&self) -> std::sync::MutexGuard<'_, CobraReport> {
+        // A panicked emitter leaves the report whole (each `apply` is a
+        // handful of adds); keep folding rather than poisoning telemetry.
+        self.shared.report.lock().unwrap_or_else(|p| p.into_inner())
     }
 }
 
@@ -494,9 +558,8 @@ impl TelemetryHub {
         let (tx, rx) = bounded(capacity.max(1));
         let emitter = TelemetryEmitter {
             shared: Arc::new(EmitterShared {
-                tx,
-                seq: AtomicU64::new(0),
-                dropped: AtomicU64::new(0),
+                ring: Some(tx),
+                ..EmitterShared::default()
             }),
         };
         TelemetryHub {
@@ -524,21 +587,20 @@ impl TelemetryHub {
         n
     }
 
-    /// Records drained into the sink over the hub's lifetime.
-    pub fn drained(&self) -> u64 {
-        self.drained
-    }
-
     /// Records dropped at emission because the ring was full.
     pub fn dropped(&self) -> u64 {
         self.emitter.dropped()
     }
 
-    /// Final drain + sink flush at detach.
-    pub fn finish(mut self) -> (u64, u64) {
+    /// Final drain + sink flush at detach. Records the ring's totals —
+    /// drained and dropped — in the emitter's report.
+    pub fn finish(mut self) {
         self.drain();
         self.sink.flush();
-        (self.drained, self.emitter.dropped())
+        let dropped = self.emitter.dropped();
+        let mut report = self.emitter.folded();
+        report.telemetry_records = self.drained;
+        report.telemetry_dropped = dropped;
     }
 }
 
@@ -576,17 +638,6 @@ impl TelemetryLog {
             .count()
     }
 
-    /// `(tick, plan_id)` of every deployment, in order.
-    pub fn deployments(&self) -> Vec<(u64, u64)> {
-        self.records
-            .iter()
-            .filter_map(|r| match &r.event {
-                TelemetryEvent::Deploy { tick, plan_id, .. } => Some((*tick, *plan_id)),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Summarize, exactly as `cobra-repro trace` does for a file.
     pub fn summary(&self) -> TraceSummary {
         TraceSummary::from_records(&self.records)
@@ -594,120 +645,73 @@ impl TelemetryLog {
 }
 
 /// Aggregate view of a trace (from a log or a JSONL file).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceSummary {
     pub total_records: u64,
     /// `(category, count)` sorted by category name.
     pub per_category: Vec<(String, u64)>,
-    /// One line per deployment: `(tick, plan_id, kind, loop_head)`.
-    pub deployments: Vec<(u64, u64, String, CodeAddr)>,
-    /// One line per revert: `(tick, plan_id, reason)`.
-    pub reverts: Vec<(u64, u64, String)>,
-    pub phase_changes: u64,
-    /// Ring drops reported by the final `detach` record, if present.
-    pub records_dropped: u64,
-    /// Fleet traffic: `(uploads, seeds, errors)`. Zero for traces recorded
-    /// without `builder().fleet(addr)`.
-    #[serde(default)]
-    pub fleet: (u64, u64, u64),
-    /// On-stack replacement totals: `(migrations, reverse_migrations,
-    /// rejects)` summed over the `osr_*` records. Zero for traces recorded
-    /// before OSR existed or with it off.
-    #[serde(default)]
-    pub osr: (u64, u64, u64),
+    /// The records folded by [`CobraReport::apply`], exactly as the runtime
+    /// folds them as they are emitted; `telemetry_records` is the record
+    /// count and `telemetry_dropped` sums every `detach` record's drops.
+    /// For a one-run trace without drops it equals the run's report.
+    pub report: CobraReport,
 }
 
 impl TraceSummary {
     pub fn from_records(records: &[TelemetryRecord]) -> TraceSummary {
         let mut per_category: BTreeMap<&'static str, u64> = BTreeMap::new();
-        let mut deployments = Vec::new();
-        let mut reverts = Vec::new();
-        let mut phase_changes = 0u64;
-        let mut records_dropped = 0u64;
-        let mut osr = (0u64, 0u64, 0u64);
+        let mut report = CobraReport::default();
         for r in records {
             *per_category.entry(r.event.category()).or_insert(0) += 1;
-            match &r.event {
-                TelemetryEvent::Deploy {
-                    tick,
-                    plan_id,
-                    kind,
-                    loop_head,
-                    ..
-                } => {
-                    deployments.push((*tick, *plan_id, kind.name().to_string(), *loop_head));
-                }
-                TelemetryEvent::Revert {
-                    tick,
-                    plan_id,
-                    reason,
-                    ..
-                } => {
-                    reverts.push((*tick, *plan_id, reason.clone()));
-                }
-                TelemetryEvent::PhaseChange { .. } => phase_changes += 1,
-                TelemetryEvent::OsrMigrate { migrations, .. } => osr.0 += migrations,
-                TelemetryEvent::OsrRevert { migrations, .. } => osr.1 += migrations,
-                TelemetryEvent::OsrRejected { .. } => osr.2 += 1,
-                TelemetryEvent::Detach {
-                    records_dropped: d, ..
-                } => records_dropped = *d,
-                _ => {}
-            }
+            report.apply(&r.event);
         }
-        let fleet = (
-            per_category.get("fleet_upload").copied().unwrap_or(0),
-            per_category.get("fleet_seed").copied().unwrap_or(0),
-            per_category.get("fleet_error").copied().unwrap_or(0),
-        );
+        report.telemetry_records = records.len() as u64;
         TraceSummary {
             total_records: records.len() as u64,
             per_category: per_category
                 .into_iter()
                 .map(|(k, v)| (k.to_string(), v))
                 .collect(),
-            deployments,
-            reverts,
-            phase_changes,
-            records_dropped,
-            fleet,
-            osr,
+            report,
         }
     }
 }
 
 impl fmt::Display for TraceSummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let r = &self.report;
         writeln!(
             f,
             "{} telemetry records ({} dropped at emission)",
-            self.total_records, self.records_dropped
+            self.total_records, r.telemetry_dropped
         )?;
         writeln!(f, "events per category:")?;
         for (cat, n) in &self.per_category {
             writeln!(f, "  {cat:<16} {n}")?;
         }
-        writeln!(f, "deployment timeline ({}):", self.deployments.len())?;
-        for (tick, plan_id, kind, head) in &self.deployments {
-            writeln!(f, "  tick {tick:>5}: plan {plan_id} {kind} @ loop {head}")?;
+        writeln!(f, "deployment timeline ({}):", r.applied.len())?;
+        for a in &r.applied {
+            let (tick, id, kind, head) = (a.tick, a.plan_id, a.kind.name(), a.loop_head);
+            writeln!(f, "  tick {tick:>5}: plan {id} {kind} @ loop {head}")?;
         }
-        writeln!(f, "reverts ({}):", self.reverts.len())?;
-        for (tick, plan_id, reason) in &self.reverts {
-            writeln!(f, "  tick {tick:>5}: plan {plan_id} — {reason}")?;
+        writeln!(f, "reverts ({}):", r.reverted.len())?;
+        for rv in &r.reverted {
+            let (tick, id, reason) = (rv.tick, rv.plan_id, &rv.reason);
+            writeln!(f, "  tick {tick:>5}: plan {id} — {reason}")?;
         }
-        writeln!(f, "phase changes: {}", self.phase_changes)?;
-        if self.fleet != (0, 0, 0) {
+        writeln!(f, "phase changes: {}", r.phase_changes)?;
+        if (r.fleet_uploads, r.fleet_seeds, r.fleet_errors) != (0, 0, 0) {
             writeln!(
                 f,
                 "fleet: {} upload(s), {} seed(s), {} error(s)",
-                self.fleet.0, self.fleet.1, self.fleet.2
+                r.fleet_uploads, r.fleet_seeds, r.fleet_errors
             )?;
         }
-        if self.osr != (0, 0, 0) {
+        if (r.osr_migrations, r.osr_reverse_migrations, r.osr_rejects) != (0, 0, 0) {
             writeln!(
                 f,
                 "osr: {} migration(s), {} reverse migration(s), {} rejected map(s)",
-                self.osr.0, self.osr.1, self.osr.2
+                r.osr_migrations, r.osr_reverse_migrations, r.osr_rejects
             )?;
         }
         Ok(())
@@ -744,6 +748,20 @@ mod tests {
         }
     }
 
+    fn detach(records_dropped: u64) -> TelemetryEvent {
+        TelemetryEvent::Detach {
+            tick: 10,
+            cycle: 9900,
+            records_dropped,
+            forks: 0,
+            monitors_spawned: 0,
+            guest_faults: 0,
+            overhead_cycles: 0,
+        }
+    }
+
+    /// The ring is lossy; the report is not: every emitted event is folded
+    /// even when its exported record is dropped.
     #[test]
     fn ring_overflow_drops_and_counts() {
         let (sink, log) = TelemetrySink::memory();
@@ -759,6 +777,9 @@ mod tests {
         assert_eq!(em.dropped(), 6);
         assert_eq!(hub.drain(), 4);
         assert_eq!(hub.dropped(), 6);
+        let report = em.report();
+        assert_eq!(report.ticks, 10, "the fold sees every event");
+        assert_eq!(report.samples_forwarded, 40);
         let log = log.lock().unwrap();
         assert_eq!(log.len(), 4);
         // The four accepted records kept their emission order.
@@ -844,6 +865,8 @@ mod tests {
                     loop_head: 40,
                     words_patched: 3,
                     trace_entry: Some(96),
+                    description: "noprefetch on loop [40,52]".into(),
+                    candidate: None,
                 },
             },
             TelemetryRecord {
@@ -865,27 +888,49 @@ mod tests {
             },
             TelemetryRecord {
                 seq: 4,
-                event: TelemetryEvent::Detach {
-                    tick: 10,
-                    cycle: 9900,
-                    records_dropped: 7,
-                },
+                event: detach(7),
             },
         ];
         let s = TraceSummary::from_records(&records);
         assert_eq!(s.total_records, 5);
-        assert_eq!(s.deployments, vec![(3, 0, "noprefetch".to_string(), 40)]);
-        assert_eq!(s.reverts.len(), 1);
-        assert_eq!(s.phase_changes, 1);
-        assert_eq!(s.records_dropped, 7);
+        let applied = &s.report.applied;
+        assert_eq!(applied.len(), 1);
+        assert_eq!(
+            (applied[0].tick, applied[0].plan_id, applied[0].loop_head),
+            (3, 0, 40)
+        );
+        assert_eq!(applied[0].description, "noprefetch on loop [40,52]");
+        assert_eq!(s.report.reverted.len(), 1);
+        assert_eq!(s.report.phase_changes, 1);
+        assert_eq!(s.report.telemetry_dropped, 7);
+        assert_eq!(s.report.telemetry_records, 5);
         let text = format!("{s}");
         assert!(text.contains("deploy"));
         assert!(text.contains("plan 0 noprefetch @ loop 40"));
     }
 
-    /// OSR records roll up into the summary's `(migrations, reverse,
-    /// rejects)` triple and render one line; summaries serialized before
-    /// the field existed still load with zeros.
+    /// A trace holding several runs (e.g. every arm of `fig5 --trace-out`)
+    /// reports the drops of all of them, not just the last run's.
+    #[test]
+    fn summary_sums_drops_across_detach_records() {
+        let records: Vec<TelemetryRecord> = [detach(3), detach(4)]
+            .into_iter()
+            .enumerate()
+            .map(|(seq, event)| TelemetryRecord {
+                seq: seq as u64,
+                event,
+            })
+            .collect();
+        let s = TraceSummary::from_records(&records);
+        assert_eq!(s.report.telemetry_dropped, 7);
+        assert!(
+            format!("{s}").contains("2 telemetry records (7 dropped at emission)"),
+            "{s}"
+        );
+    }
+
+    /// OSR records roll up into the report's migration, reverse-migration
+    /// and rejected-map counts and render one line.
     #[test]
     fn summary_aggregates_osr_records() {
         let records = vec![
@@ -921,25 +966,16 @@ mod tests {
             },
         ];
         let s = TraceSummary::from_records(&records);
-        assert_eq!(s.osr, (3, 4, 1));
+        let r = &s.report;
+        assert_eq!(
+            (r.osr_migrations, r.osr_reverse_migrations, r.osr_rejects),
+            (3, 4, 1)
+        );
+        assert_eq!(r.ticks_to_all_optimized, 3);
         let text = format!("{s}");
         assert!(
             text.contains("osr: 3 migration(s), 4 reverse migration(s), 1 rejected map(s)"),
             "{text}"
-        );
-
-        // Legacy wire shape: a summary without the `osr` field.
-        let mut v = serde::Serialize::to_value(&s);
-        if let serde::Value::Object(fields) = &mut v {
-            fields.retain(|(k, _)| k != "osr");
-        } else {
-            panic!("summary serializes to an object");
-        }
-        let back: TraceSummary = serde::Deserialize::from_value(&v).expect("tolerant deserialize");
-        assert_eq!(back.osr, (0, 0, 0));
-        assert!(
-            !format!("{back}").contains("osr:"),
-            "zero triple is omitted"
         );
     }
 
@@ -960,6 +996,10 @@ mod tests {
                     tick: 112,
                     cycle: 657_208,
                     records_dropped: 0,
+                    forks: 0,
+                    monitors_spawned: 0,
+                    guest_faults: 0,
+                    overhead_cycles: 0,
                 },
             }]
         );

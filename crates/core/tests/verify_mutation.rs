@@ -124,7 +124,7 @@ fn capture_real_plans() -> &'static Vec<Captured> {
                             let mut opt = Optimizer::new(cfg, image.clone());
                             let actions = opt.consider(&hot_profile(load_pc, head, back));
                             assert_eq!(
-                                opt.verify_rejects(),
+                                opt.telemetry().report().verify_rejects,
                                 0,
                                 "{}/{} loop [{head},{back}] {strategy:?}/{deploy:?}: \
                                  in-vivo false reject",
